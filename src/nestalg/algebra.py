@@ -45,18 +45,25 @@ def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
     """
     f = nest.field
     n = nest.ambient_dim
+    zero = f.zero()
     rows = []
     for source, target in pairs:
         ann = target.annihilator().basis.entries
         for a in ann:
             for v in source.basis.entries:
-                rows.append(tuple(f.mul(a[i], v[j]) for i in range(n) for j in range(n)))
+                row = [zero] * (n * n)
+                for i, ai in enumerate(a):
+                    if ai:
+                        for j, vj in enumerate(v):
+                            if vj:
+                                row[i * n + j] = f.mul(ai, vj)
+                rows.append(tuple(row))
     if not rows:
         sol = kernel_basis(Matrix.zeros(f, 0, n * n))
     else:
-        sol = kernel_basis(Matrix(f, tuple(rows)))
+        sol = kernel_basis(Matrix._of(f, tuple(rows), n * n))
     mats = tuple(
-        Matrix(f, tuple(row[i * n : (i + 1) * n] for i in range(n)))
+        Matrix._of(f, tuple(row[i * n : (i + 1) * n] for i in range(n)), n)
         for row in sol.entries
     )
     return mats
@@ -291,12 +298,16 @@ def reflexivity_witness(nest: Nest, m: Subspace) -> tuple[RankOneOp, Vector]:
 def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matrix, ...]:
     """Canonical basis of the span of the given operators (vectorized RREF)."""
     rows, cols = shape
-    stacked = [m.vectorize() for m in mats]
+    stacked = []
+    for m in mats:
+        if m.field != field or (m.rows, m.cols) != shape:
+            raise ValueError("operators must match the given field and shape")
+        stacked.append(m.vectorize())
     if not stacked:
         return ()
-    red = rref(Matrix(field, tuple(stacked)))
+    red = rref(Matrix._of(field, tuple(stacked), rows * cols))
     return tuple(
-        Matrix(field, tuple(row[i * cols : (i + 1) * cols] for i in range(rows)))
+        Matrix._of(field, tuple(row[i * cols : (i + 1) * cols] for i in range(rows)), cols)
         for row in red.matrix.entries[: red.rank]
     )
 

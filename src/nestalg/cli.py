@@ -64,7 +64,7 @@ from .serialize import (
     vector_to_json,
     zigzag_report_to_json,
 )
-from .subspaces import span_of
+from .subspaces import check_enumeration_bound, span_of
 from .verify import SUITES, run_suite
 
 
@@ -399,7 +399,7 @@ def cmd_reflexivity(args, docs, inputs):
     nest, _ = _nest_arg(docs)
     if docs.get("matrix") is not None:
         doc = docs["matrix"]
-        if not isinstance(doc, dict) or "subspace" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("subspace"), list):
             raise SpecError("matrix", "witness mode expects {\"subspace\": [vectors]}")
         rows = doc["subspace"]
         vectors = [
@@ -435,6 +435,7 @@ def cmd_reflexivity(args, docs, inputs):
             "exhaustive reflexivity needs a finite field; over Q pass --matrix "
             "with {\"subspace\": [vectors]} to get a witness for one subspace",
         )
+    check_enumeration_bound(nest.field, nest.ambient_dim)
     alg = alg_basis(nest)
     ones = all_rank_ones_in_alg(nest)
     lat_alg = invariant_lattice(alg.basis, nest.field, nest.ambient_dim)
@@ -483,8 +484,7 @@ def cmd_ordsum(args, docs, inputs):
         },
     ]
     if docs.get("matrix") is not None:
-        n = summed.ambient_dim
-        t = matrix_from_json(summed.field, docs["matrix"].get("matrix"), "matrix.matrix", n, n)
+        t = _matrix_arg(docs, summed)
         rep = ordsum_analyze(first, second, t)
         results["analysis"] = ordsum_report_to_json(rep)
         verdicts.append(

@@ -8,14 +8,32 @@ from typing import Union
 Scalar = Union[Fraction, int]
 
 
+# Deterministic Miller-Rabin: these witnesses decide primality of every
+# n below MAX_MODULUS (Sorenson and Webster 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -30,8 +48,11 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"field modulus must be prime, got {p}")
+        if p is not None:
+            if p >= MAX_MODULUS:
+                raise ValueError(f"field modulus must be below {MAX_MODULUS}, got {p}")
+            if not _is_prime(p):
+                raise ValueError(f"field modulus must be prime, got {p}")
         object.__setattr__(self, "p", p)
 
     @property
@@ -50,7 +71,19 @@ class Field:
     # -- scalar construction ------------------------------------------------
 
     def coerce(self, value) -> Scalar:
-        """Normalize an int / Fraction / 'a/b' string into this field."""
+        """Normalize an int / Fraction / 'a/b' string into this field.
+
+        Booleans are refused although bool is an int: a JSON true is not 1.
+        """
+        p = self.p
+        # Plain ints and Fractions skip the checks below, where
+        # isinstance(x, Fraction) on an int runs the numbers ABC hook in Python.
+        if type(value) is int:
+            return Fraction(value) if p is None else value % p
+        if p is None and type(value) is Fraction:
+            return value
+        if isinstance(value, bool):
+            raise TypeError(f"cannot coerce the boolean {value!r} into {self!r}")
         if self.p is None:
             if isinstance(value, Fraction):
                 return value

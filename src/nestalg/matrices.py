@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field, Scalar
 
@@ -35,6 +37,17 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _of(cls, field: Field, rows: tuple, cols: int) -> Matrix:
+        """Wrap a tuple of equal-length tuples of field elements as is, without
+        the per-entry coercion of the public constructor."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", rows)
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> Matrix:
         z = field.zero()
         return cls(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), cols=cols)
@@ -62,12 +75,13 @@ class Matrix:
     def __add__(self, other: Matrix) -> Matrix:
         self._check_peer(other, same_shape=True)
         add = self.field.add
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(
                 tuple(add(a, b) for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             ),
+            self.cols,
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
@@ -75,30 +89,34 @@ class Matrix:
 
     def __neg__(self) -> Matrix:
         neg = self.field.neg
-        return Matrix(self.field, tuple(tuple(neg(a) for a in row) for row in self.entries))
+        entries = tuple(tuple(neg(a) for a in row) for row in self.entries)
+        return Matrix._of(self.field, entries, self.cols)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         self._check_peer(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
-        cols_t = tuple(zip(*other.entries)) if other.entries else ()
+        cols = other.cols
+        if f.is_rationals:
+            return Matrix._of(f, _matmul_rational(self.entries, other.entries, cols), cols)
+        p = f.p
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row in self.entries:
-            out_row = []
-            for col in cols_t:
-                acc = f.zero()
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(f, tuple(out), cols=other.cols)
+            acc = [0] * cols
+            for a, other_row in zip(row, sparse):
+                if a:
+                    for j, b in other_row:
+                        acc[j] += a * b
+            out.append(tuple(x % p for x in acc))
+        return Matrix._of(f, tuple(out), cols)
 
     def scale(self, c) -> Matrix:
         c = self.field.coerce(c)
         mul = self.field.mul
-        return Matrix(self.field, tuple(tuple(mul(c, a) for a in row) for row in self.entries))
+        entries = tuple(tuple(mul(c, a) for a in row) for row in self.entries)
+        return Matrix._of(self.field, entries, self.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product; v has length self.cols."""
@@ -153,6 +171,34 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
+def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
+    """Product of Fraction rows on integers, over nonzero entries only.
+
+    B is scaled by the lcm of all its denominators and each row of A by the
+    lcm of its own, so every entry of the product is one integer sum
+    divided once at the end.
+    """
+    b_nonzero = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in b_rows]
+    den_b = lcm(*[d for row in b_nonzero for _, (_, d) in row])
+    b_ints = [[(j, n * (den_b // d)) for j, (n, d) in row] for row in b_nonzero]
+    zero = Fraction(0)
+    out = []
+    for row in a_rows:
+        nonzero = [(k, x.as_integer_ratio()) for k, x in enumerate(row) if x]
+        den_a = lcm(*[d for _, (_, d) in nonzero])
+        acc = [0] * cols
+        for k, (n, d) in nonzero:
+            a = n * (den_a // d)
+            for j, b in b_ints[k]:
+                acc[j] += a * b
+        den = den_a * den_b
+        if den == 1:
+            out.append(tuple(Fraction(x) if x else zero for x in acc))
+        else:
+            out.append(tuple(Fraction(x, den) if x else zero for x in acc))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: Matrix
@@ -161,7 +207,65 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form (unique: leading ones, pivot columns cleared)."""
+    """Reduced row echelon form (unique: leading ones, pivot columns cleared).
+
+    Over QQ the elimination runs on integer rows: each row is scaled by the
+    lcm of its denominators, rows are combined fraction-free and divided by
+    the gcd of their entries, and each pivot row is divided by its pivot
+    only at the end.  Every step rescales a row by a nonzero scalar or adds
+    a multiple of one row to another, so the row space never changes, and
+    the RREF of a row space is unique: the output equals that of the
+    field-generic loop, which runs over GF(p).
+    """
+    if m.field.is_rationals:
+        return _rref_rational(m)
+    return _rref_generic(m)
+
+
+def _rref_rational(m: Matrix) -> RrefResult:
+    """The QQ back end of rref, on integer rows."""
+    nrows, ncols = m.rows, m.cols
+    rows = []
+    for row in m.entries:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        ints = [n * (den // d) for n, d in ratios] if den > 1 else [n for n, _ in ratios]
+        g = gcd(*ints)
+        rows.append([x // g for x in ints] if g > 1 else ints)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            row = rows[i]
+            a = row[c]
+            if a and i != r:
+                new = [p * x - a * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    zero = Fraction(0)
+    out = []
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        if p == 1:
+            out.append(tuple(Fraction(x) if x else zero for x in row))
+        else:
+            out.append(tuple(Fraction(x, p) if x else zero for x in row))
+    out.extend((zero,) * ncols for _ in range(nrows - r))
+    return RrefResult(Matrix._of(m.field, tuple(out), ncols), tuple(pivots), r)
+
+
+def _rref_generic(m: Matrix) -> RrefResult:
+    """Gauss-Jordan elimination through the field's own operations."""
     f = m.field
     rows = [list(row) for row in m.entries]
     nrows, ncols = m.rows, m.cols
@@ -183,7 +287,7 @@ def rref(m: Matrix) -> RrefResult:
                 rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    reduced = Matrix(f, tuple(tuple(row) for row in rows), cols=ncols)
+    reduced = Matrix._of(f, tuple(tuple(row) for row in rows), ncols)
     return RrefResult(reduced, tuple(pivots), len(pivots))
 
 
@@ -202,8 +306,8 @@ def kernel_basis(m: Matrix) -> Matrix:
         vectors.append(tuple(v))
     if not vectors:
         return Matrix.zeros(f, 0, m.cols)
-    canon = rref(Matrix(f, tuple(vectors)))
-    return Matrix(f, canon.matrix.entries[: canon.rank], cols=m.cols)
+    canon = rref(Matrix._of(f, tuple(vectors), m.cols))
+    return Matrix._of(f, canon.matrix.entries[: canon.rank], m.cols)
 
 
 def solve(m: Matrix, b: Vector):
@@ -214,7 +318,7 @@ def solve(m: Matrix, b: Vector):
     if m.rows == 0:
         return tuple(f.zero() for _ in range(m.cols))
     b = tuple(f.coerce(x) for x in b)
-    aug = Matrix(f, tuple(row + (bv,) for row, bv in zip(m.entries, b)))
+    aug = Matrix._of(f, tuple(row + (bv,) for row, bv in zip(m.entries, b)), m.cols + 1)
     red = rref(aug)
     if m.cols in red.pivots:
         return None
@@ -232,11 +336,13 @@ def try_invert(m: Matrix):
     if n == 0:
         return Matrix.zeros(m.field, 0, 0)
     ident = Matrix.identity(m.field, n)
-    aug = Matrix(m.field, tuple(row + irow for row, irow in zip(m.entries, ident.entries)))
+    aug = Matrix._of(
+        m.field, tuple(row + irow for row, irow in zip(m.entries, ident.entries)), 2 * n
+    )
     red = rref(aug)
     if red.pivots[:n] != tuple(range(n)) or red.rank != n:
         return None
-    return Matrix(m.field, tuple(row[n:] for row in red.matrix.entries))
+    return Matrix._of(m.field, tuple(row[n:] for row in red.matrix.entries), n)
 
 
 def dot(field: Field, u: Vector, v: Vector) -> Scalar:

@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .matrices import Matrix, kernel_basis, try_invert
 from .nests import Nest, ordinal_sum
+from .sampling import random_scalar
 from .subspaces import Functional, separating_functional
 
 
@@ -72,7 +73,11 @@ def ideal_nilpotency_index(nest: Nest) -> int:
 
     Never exceeds the number of atoms of the nest.
     """
-    basis = strict_ideal_basis(nest).basis
+    return _nilpotency_index_of(nest, strict_ideal_basis(nest).basis)
+
+
+def _nilpotency_index_of(nest: Nest, basis) -> int:
+    """ideal_nilpotency_index for the ideal's already-built basis."""
     shape = (nest.ambient_dim, nest.ambient_dim)
     k = 1
     current = matrix_span_basis(basis, nest.field, shape)
@@ -115,16 +120,30 @@ def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
     """
     if not nest.field.is_rationals:
         raise ValueError("the trace-form radical is only valid over the rationals")
-    alg = alg_basis(nest)
+    return _trace_form_radical(alg_basis(nest))
+
+
+def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
+    """radical_basis_oracle for the algebra's already-built basis (over QQ)."""
+    nest = alg.nest
     d = alg.dim
     f = nest.field
-    gram = [[None] * d for _ in range(d)]
-    for i in range(d):
+    # trace(A B) is the sum of A[r][c] * B[c][r]: pair the nonzero entries
+    # of A with those of B keyed by transposed position.
+    nonzero = [
+        {(r, c): x for r, row in enumerate(b.entries) for c, x in enumerate(row) if x}
+        for b in alg.basis
+    ]
+    transposed = [{(c, r): x for (r, c), x in e.items()} for e in nonzero]
+    zero = f.zero()
+    gram = [[zero] * d for _ in range(d)]
+    for i, a in enumerate(nonzero):
         for j in range(i, d):
-            val = _trace_of_product(alg.basis[i], alg.basis[j])
+            b = transposed[j]
+            val = sum((a[k] * b[k] for k in a.keys() & b.keys()), zero)
             gram[i][j] = val
             gram[j][i] = val
-    coords = kernel_basis(Matrix(f, tuple(tuple(row) for row in gram))) if d else None
+    coords = kernel_basis(Matrix._of(f, tuple(tuple(row) for row in gram), d)) if d else None
     mats = []
     if d:
         for row in coords.entries:
@@ -135,19 +154,6 @@ def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
             mats.append(acc)
     shape = (nest.ambient_dim, nest.ambient_dim)
     return AlgebraBasis(nest, RADICAL, matrix_span_basis(mats, f, shape))
-
-
-def _trace_of_product(a: Matrix, b: Matrix):
-    f = a.field
-    acc = f.zero()
-    for i in range(a.rows):
-        row = a.entries[i]
-        for j in range(a.cols):
-            x = row[j]
-            y = b.entries[j][i]
-            if x and y:
-                acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 def raddef_probe(nest: Nest, t: Matrix, trials: int = 25, seed: int = 0) -> bool:
@@ -164,7 +170,7 @@ def raddef_probe(nest: Nest, t: Matrix, trials: int = 25, seed: int = 0) -> bool
     for _ in range(trials):
         acc = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
         for b in alg.basis:
-            c = _random_scalar(nest.field, rng)
+            c = random_scalar(nest.field, rng)
             if c:
                 acc = acc + b.scale(c)
         candidates.append(acc)
@@ -174,12 +180,6 @@ def raddef_probe(nest: Nest, t: Matrix, trials: int = 25, seed: int = 0) -> bool
         if try_invert(ident - (t @ a)) is None:
             return False
     return True
-
-
-def _random_scalar(field, rng):
-    if field.is_rationals:
-        return field.coerce(rng.randint(-3, 3))
-    return rng.randrange(field.p)
 
 
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:
@@ -228,10 +228,10 @@ def radical_report(nest: Nest) -> RadicalReport:
     """
     strict = strict_ideal_basis(nest)
     alg = alg_basis(nest)
-    index = ideal_nilpotency_index(nest)
+    index = _nilpotency_index_of(nest, strict.basis)
     shape = (nest.ambient_dim, nest.ambient_dim)
     if nest.field.is_rationals:
-        rad = radical_basis_oracle(nest)
+        rad = _trace_form_radical(alg)
         equal = spans_equal(strict.basis, rad.basis, nest.field, shape)
         oracle_used = True
     else:

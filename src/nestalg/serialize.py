@@ -33,7 +33,7 @@ def field_from_json(obj, path: str = "field") -> Field:
         return QQ
     if isinstance(obj, dict) and set(obj) == {"p"}:
         p = obj["p"]
-        if not isinstance(p, int):
+        if type(p) is not int:  # a JSON true decodes to a bool, which is an int
             raise SpecError(f"{path}.p", "modulus must be an integer")
         try:
             return Field(p)
@@ -87,7 +87,7 @@ def subspace_from_json(field: Field, obj, path: str) -> Subspace:
     if not isinstance(obj, dict) or "basis" not in obj:
         raise SpecError(path, "expected {\"ambient\": n, \"basis\": [...]}")
     ambient = obj.get("ambient")
-    if not isinstance(ambient, int) or ambient < 1:
+    if type(ambient) is not int or ambient < 1:
         raise SpecError(f"{path}.ambient", "expected a positive integer")
     vectors = obj["basis"]
     if not isinstance(vectors, list):
@@ -119,7 +119,7 @@ def nest_from_json(obj, path: str = "") -> tuple[Nest, str | None]:
             raise SpecError(prefix, f"missing key {key!r}")
     field = field_from_json(obj["field"], f"{prefix}.field")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SpecError(f"{prefix}.dim", "expected a positive integer")
     chain_obj = obj["chain"]
     if not isinstance(chain_obj, list):

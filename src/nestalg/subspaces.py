@@ -187,8 +187,13 @@ def enumerate_subspaces(field: Field, ambient_dim: int) -> tuple[Subspace, ...]:
     Enumerates reduced echelon bases directly, so each subspace appears
     exactly once.  Bounded to p in {2, 3} and n <= 4.
     """
+    check_enumeration_bound(field, ambient_dim)
+    return _enumerate_subspaces(field.p, ambient_dim)
+
+
+def check_enumeration_bound(field: Field, ambient_dim: int) -> None:
+    """Raise ValueError unless enumerate_subspaces accepts (field, ambient_dim)."""
     if field.is_rationals:
         raise ValueError("subspace enumeration needs a finite field")
     if field.p not in (2, 3) or ambient_dim > 4:
         raise ValueError("enumeration bound exceeded: need p in {2,3} and dim <= 4")
-    return _enumerate_subspaces(field.p, ambient_dim)

@@ -17,11 +17,12 @@ FLAG3 = {
 }
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "nestalg", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -201,6 +202,42 @@ def test_reflexivity_rationals_needs_subspace(tmp_path):
     assert "witness" in report["results"]
 
 
+def test_reflexivity_checks_enumeration_bound_first(tmp_path):
+    doc = {"field": {"p": 101}, "dim": 3, "chain": [[[1, 0, 0]]]}
+    proc = run_cli("reflexivity", "--input", write(tmp_path, "nest.json", doc), timeout=30)
+    assert proc.returncode == 2
+    assert "enumeration bound" in load_report(proc)["error"]["message"]
+
+
+def test_reflexivity_rejects_non_list_subspace(tmp_path):
+    proc = run_cli(
+        "reflexivity",
+        "--input", write(tmp_path, "nest.json", FLAG3),
+        "--matrix", write(tmp_path, "sub.json", {"subspace": 5}),
+    )
+    assert proc.returncode == 2
+    assert load_report(proc)["error"]["path"] == "matrix"
+
+
+def test_check_rejects_boolean_scalar(tmp_path):
+    doc = dict(FLAG3, chain=[[[True, "0", "0"]]])
+    proc = run_cli("check", "--input", write(tmp_path, "nest.json", doc))
+    assert proc.returncode == 2
+    assert load_report(proc)["error"]["path"] == "input.chain[0][0][0]"
+
+
+def test_check_large_prime_modulus(tmp_path):
+    p = 10**18 + 3
+    doc = {"field": {"p": p}, "dim": 2, "chain": [[[1, 0]]]}
+    proc = run_cli("check", "--input", write(tmp_path, "big.json", doc), timeout=30)
+    assert proc.returncode == 0
+    assert load_report(proc)["results"]["field"] == {"p": p}
+    doc["field"] = {"p": 561}
+    proc = run_cli("check", "--input", write(tmp_path, "carmichael.json", doc), timeout=30)
+    assert proc.returncode == 2
+    assert load_report(proc)["error"]["path"] == "input.field.p"
+
+
 def test_ordsum(tmp_path):
     pair = {
         "first": {"field": "Q", "dim": 2, "chain": [[["1", "0"]]]},
@@ -223,6 +260,20 @@ def test_ordsum(tmp_path):
     report = load_report(proc)
     assert report["results"]["atoms"] == [1, 1, 1, 1]
     assert all(v["pass"] for v in report["verdicts"])
+
+
+def test_ordsum_rejects_array_matrix(tmp_path):
+    pair = {
+        "first": {"field": "Q", "dim": 2, "chain": []},
+        "second": {"field": "Q", "dim": 2, "chain": []},
+    }
+    proc = run_cli(
+        "ordsum",
+        "--input", write(tmp_path, "pair.json", pair),
+        "--matrix", write(tmp_path, "op.json", [["0"] * 4 for _ in range(4)]),
+    )
+    assert proc.returncode == 2
+    assert load_report(proc)["error"]["path"] == "matrix"
 
 
 def test_dual(tmp_path):

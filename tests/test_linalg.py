@@ -11,8 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from nestalg.fields import GF, GF2, GF3, QQ
-from nestalg.matrices import Matrix, dot, kernel_basis, outer, rref, solve, try_invert
+from nestalg.fields import GF, GF2, GF3, MAX_MODULUS, QQ, Field
+from nestalg.matrices import (
+    Matrix,
+    _rref_generic,
+    dot,
+    kernel_basis,
+    outer,
+    rref,
+    solve,
+    try_invert,
+)
 
 FIELDS = (QQ, GF2, GF3)
 
@@ -64,8 +73,34 @@ def test_field_basics():
 
 
 def test_field_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        GF(6)
+    # 561, 1105 and 1729 are Carmichael numbers; the last three are strong
+    # pseudoprimes to every prime base up to 23, 37 and 41 respectively.
+    for n in (6, 561, 1105, 1729, 3825123056546413051, 318665857834031151167461, MAX_MODULUS):
+        with pytest.raises(ValueError):
+            GF(n)
+
+
+def test_field_primality_matches_trial_division():
+    for n in range(2, 3000):
+        prime = all(n % d for d in range(2, int(n**0.5) + 1))
+        if prime:
+            assert Field(n).p == n
+        else:
+            with pytest.raises(ValueError):
+                Field(n)
+
+
+def test_field_accepts_large_prime_modulus():
+    f = Field(10**18 + 3)
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
+def test_field_rejects_booleans():
+    for field in FIELDS:
+        with pytest.raises(TypeError):
+            field.coerce(True)
+        with pytest.raises(ValueError):
+            field.parse_scalar(False)
 
 
 def test_gf_elements():
@@ -189,6 +224,62 @@ def test_rref_properties_random():
             # row space unchanged: stacking m on its rref gains no rank
             stacked = Matrix(field, m.entries + r.matrix.entries)
             assert rref(stacked).rank == r.rank
+
+
+def rand_fraction(rng, zero_share):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def rand_fraction_matrix(rows, cols, rng, zero_share=0.3):
+    entries = tuple(tuple(rand_fraction(rng, zero_share) for _ in range(cols)) for _ in range(rows))
+    return Matrix(QQ, entries, cols=cols)
+
+
+def test_rref_integer_rows_match_generic_loop():
+    # Over QQ rref eliminates on integer rows; the field-generic loop is
+    # the reference for matrices, pivots and the Fraction type of entries.
+    rng = random.Random(12)
+    cases = [rand_fraction_matrix(r, c, rng) for r, c in ((0, 3), (3, 0), (0, 0))]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        m = rand_fraction_matrix(rows, cols, rng)
+        k = rng.randint(1, 3)
+        low = rand_fraction_matrix(rows, k, rng) @ rand_fraction_matrix(k, cols, rng)
+        zero_row = (Fraction(0),) * cols
+        padded = Matrix(QQ, (zero_row,) + low.entries + (zero_row,))
+        b = tuple(rand_fraction(rng, 0.3) for _ in range(rows))
+        solve_aug = Matrix(QQ, tuple(row + (bv,) for row, bv in zip(m.entries, b)))
+        square = rand_fraction_matrix(rows, rows, rng)
+        ident = Matrix.identity(QQ, rows)
+        invert_aug = Matrix(QQ, tuple(r + i for r, i in zip(square.entries, ident.entries)))
+        cases += [m, low, padded, solve_aug, invert_aug]
+    for m in cases:
+        got, want = rref(m), _rref_generic(m)
+        assert got.matrix == want.matrix
+        assert (got.pivots, got.rank) == (want.pivots, want.rank)
+        assert (got.matrix.rows, got.matrix.cols) == (m.rows, m.cols)
+        assert all(type(x) is Fraction for row in got.matrix.entries for x in row)
+
+
+def test_product_matches_entrywise_sum():
+    # Over QQ products run on integer rows; the entrywise Fraction sum is the reference.
+    rng = random.Random(13)
+    for _ in range(60):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = rand_fraction_matrix(rows, inner, rng, zero_share=0.5)
+        b = rand_fraction_matrix(inner, cols, rng, zero_share=0.5)
+        got = a @ b
+        want = tuple(
+            tuple(
+                sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)), Fraction(0))
+                for j in range(cols)
+            )
+            for i in range(rows)
+        )
+        assert got.entries == want and (got.rows, got.cols) == (rows, cols)
+        assert all(type(x) is Fraction for row in got.entries for x in row)
 
 
 def test_kernel_properties_random():

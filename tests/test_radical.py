@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nestalg import algebra, radical
 from nestalg.algebra import alg_basis, in_alg, rank_one, spans_equal
 from nestalg.fields import GF2, QQ
 from nestalg.matrices import Matrix, try_invert
@@ -173,6 +174,23 @@ def test_radical_report_frozen():
     assert (rep.alg_dim, rep.strict_basis.dim) == (12, 4)
     assert rep.semisimple_quotient_dim == 8
     assert rep.nilpotency_index == 2
+
+
+def test_radical_report_builds_each_basis_once(monkeypatch):
+    # One constraint elimination for the algebra, one for the strict ideal.
+    calls = []
+    original = algebra._constraint_kernel
+
+    def counting(nest, pairs):
+        calls.append(nest)
+        return original(nest, pairs)
+
+    monkeypatch.setattr(algebra, "_constraint_kernel", counting)
+    monkeypatch.setattr(radical, "_constraint_kernel", counting)
+    for nest in (flag_nest(QQ, 3), coordinate_nest(QQ, (2, 1, 2)), coordinate_nest(GF2, (1, 2))):
+        calls.clear()
+        radical_report(nest)
+        assert len(calls) == 2
 
 
 def test_radical_report_finite_field_is_structural():

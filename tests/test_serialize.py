@@ -56,6 +56,8 @@ def test_field_errors():
     with pytest.raises(SpecError):
         field_from_json({"p": "2"})
     with pytest.raises(SpecError):
+        field_from_json({"p": True})
+    with pytest.raises(SpecError):
         field_from_json("R")
 
 
@@ -110,6 +112,8 @@ def test_subspace_round_trip():
     with pytest.raises(SpecError):
         subspace_from_json(QQ, {"basis": []}, "s")
     with pytest.raises(SpecError):
+        subspace_from_json(QQ, {"ambient": True, "basis": []}, "s")
+    with pytest.raises(SpecError):
         subspace_from_json(QQ, [], "s")
 
 
@@ -132,6 +136,9 @@ def test_nest_errors_name_paths():
     assert "missing key 'chain'" in str(exc.value)
     with pytest.raises(SpecError) as exc:
         nest_from_json({"field": "Q", "dim": 0, "chain": []})
+    assert "nest.dim" in str(exc.value)
+    with pytest.raises(SpecError) as exc:
+        nest_from_json({"field": "Q", "dim": True, "chain": [[["1"]]]})
     assert "nest.dim" in str(exc.value)
     with pytest.raises(SpecError) as exc:
         nest_from_json(
