@@ -62,7 +62,6 @@ from .radical import (
     nilpotency_index,
     ordsum_analyze,
     quasi_inverse,
-    raddef_probe,
     radical_basis_oracle,
     radical_exclusion_witness,
     radical_report,

@@ -89,6 +89,13 @@ def in_alg(nest: Nest, t: Matrix) -> bool:
     return in_alg_witness(nest, t) is None
 
 
+def _require_member(nest: Nest, t: Matrix) -> None:
+    witness = in_alg_witness(nest, t)
+    if witness is not None:
+        member, v = witness
+        raise ValueError(f"operator leaves the nest: moves {v} out of {member!r}")
+
+
 def _check_operator(nest: Nest, t: Matrix) -> None:
     if t.field != nest.field:
         raise ValueError("operator field mismatch")
@@ -185,10 +192,7 @@ def rank_decompose(nest: Nest, t: Matrix) -> list[Matrix]:
     Summands are P_k t for the rank-one parts P_k of an idempotent onto
     range(t); zero products are dropped, leaving exactly rank(t) terms.
     """
-    witness = in_alg_witness(nest, t)
-    if witness is not None:
-        member, v = witness
-        raise ValueError(f"operator leaves the nest: moves {v} out of {member!r}")
+    _require_member(nest, t)
     if t.is_zero():
         raise ValueError("the zero operator has no rank decomposition")
     _, parts = idempotent_onto(nest, range_of(t))
@@ -198,10 +202,7 @@ def rank_decompose(nest: Nest, t: Matrix) -> list[Matrix]:
 
 def strict_approximant(nest: Nest, t: Matrix, vectors) -> Matrix:
     """A sum of rank-ones t P_k of the algebra agreeing with t on span(vectors)."""
-    witness = in_alg_witness(nest, t)
-    if witness is not None:
-        member, v = witness
-        raise ValueError(f"operator leaves the nest: moves {v} out of {member!r}")
+    _require_member(nest, t)
     f = nest.field
     spn = span_of(list(vectors), f, nest.ambient_dim)
     if spn.dim == 0:
@@ -315,17 +316,9 @@ def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matri
 def in_matrix_span(mats, t: Matrix) -> bool:
     """Is t a linear combination of the given operators?"""
     basis = matrix_span_basis(mats, t.field, (t.rows, t.cols))
-    target = list(t.vectorize())
-    f = t.field
-    for b in basis:
-        row = b.vectorize()
-        pc = next(j for j, x in enumerate(row) if x)
-        c = target[pc]
-        if c:
-            for j in range(pc, len(target)):
-                if row[j]:
-                    target[j] = f.sub(target[j], f.mul(c, row[j]))
-    return all(not x for x in target)
+    size = t.rows * t.cols
+    rows = tuple(b.vectorize() for b in basis)
+    return Subspace(t.field, size, Matrix._of(t.field, rows, size)).contains(t.vectorize())
 
 
 def spans_equal(a, b, field: Field, shape: tuple[int, int]) -> bool:

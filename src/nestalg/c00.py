@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .fields import QQ, Field, Scalar
 from .matrices import Matrix
 from .nests import Nest, new_nest
+from .radical import quasi_inverse
 from .subspaces import span_of
 
 EMPTY = "empty"
@@ -425,8 +426,9 @@ def graded_quasi_inverse(t: Matrix, a: Matrix, m: int) -> Matrix:
     """Exact inverse of 1 - a t on the level-m truncation of the dual chain.
 
     t must strictly lower the grade (strictly lower triangular here) and a
-    must preserve it (lower triangular); then a t is nilpotent of index at
-    most m and the geometric series terminates.
+    must preserve it (lower triangular); these are the strictly-shifting
+    ideal and the algebra of `truncation_nest(QQ, m)`, so the terminating
+    series of `quasi_inverse` applies.
     """
     if not t.field.is_rationals or not a.field.is_rationals:
         raise ValueError("truncations are computed over the rationals")
@@ -434,14 +436,4 @@ def graded_quasi_inverse(t: Matrix, a: Matrix, m: int) -> Matrix:
         raise ValueError(f"expected {m}x{m} matrices")
     _check_truncated(t, strict=True)
     _check_truncated(a, strict=False)
-    at = a @ t
-    s = Matrix.identity(t.field, m)
-    power = at
-    steps = 0
-    while not power.is_zero():
-        steps += 1
-        if steps > m:
-            raise AssertionError("series failed to terminate at the truncation level")
-        s = s + power
-        power = power @ at
-    return s
+    return quasi_inverse(truncation_nest(QQ, m), a, t)

@@ -4,7 +4,9 @@ and verification suites, emit JSON reports.
 Reports have the shape {command, inputs, results, verdicts}; inputs carries
 sha256 digests of the input files plus the parameters that influence the
 output, so a report is reproducible byte for byte.  Every decomposition a
-report emits is re-verified inside the same report.
+report emits is re-verified inside the same report, by the `check_*`
+functions of the verify suites wherever a suite checks the same property,
+so a failing verdict carries a witness of the request.
 
 Exit codes: 0 when every verdict passes, 1 when some property fails,
 2 for unusable input (malformed JSON, non-chains, operators outside the
@@ -20,23 +22,21 @@ import random
 import sys
 from pathlib import Path
 
-from . import c00
+from . import c00, verify
 from .algebra import (
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
+    in_alg,
     in_alg_witness,
     invariant_lattice,
     matrix_span_basis,
-    range_of,
     rank_decompose,
-    rank_one,
     rank_one_in_alg,
     reflexivity_witness,
     strict_approximant,
 )
-from .fields import QQ
-from .matrices import Matrix, rref, try_invert
+from .matrices import Matrix, rref
 from .nests import IncomparableError, ordinal_sum
 from .radical import (
     in_strict_ideal,
@@ -60,12 +60,11 @@ from .serialize import (
     subspace_to_json,
     support_nest_to_json,
     tail_functional_to_json,
-    vector_from_json,
+    vectors_from_json,
     vector_to_json,
     zigzag_report_to_json,
 )
 from .subspaces import check_enumeration_bound, span_of
-from .verify import SUITES, run_suite
 
 
 class MembershipError(ValueError):
@@ -103,14 +102,14 @@ def _require_in_alg(nest, t: Matrix, label: str) -> None:
         raise MembershipError(label, "in the algebra", member, v, nest.field)
 
 
-def _matrix_arg(docs, nest, key: str = "matrix") -> Matrix:
+def _matrix_arg(docs, nest) -> Matrix:
     doc = docs.get("matrix")
     if doc is None:
         raise SpecError("matrix", "this command needs --matrix FILE")
-    if not isinstance(doc, dict) or key not in doc:
-        raise SpecError("matrix", f"expected an object with key {key!r}")
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise SpecError("matrix", "expected an object with key 'matrix'")
     n = nest.ambient_dim
-    return matrix_from_json(nest.field, doc[key], f"matrix.{key}", n, n)
+    return matrix_from_json(nest.field, doc["matrix"], "matrix.matrix", n, n)
 
 
 def _nest_arg(docs, path: str = "input"):
@@ -123,31 +122,35 @@ def _nest_arg(docs, path: str = "input"):
 def cmd_check(args, docs, inputs):
     doc = docs.get("input")
     nest, name = _nest_arg(docs)
-    warnings = []
-    spans = []
-    for i, vectors in enumerate(doc["chain"]):
-        rows = [
-            vector_from_json(nest.field, v, nest.ambient_dim, f"input.chain[{i}][{j}]")
-            for j, v in enumerate(vectors)
-        ]
-        spans.append(span_of(rows, nest.field, nest.ambient_dim))
-    seen = {}
-    for i, s in enumerate(spans):
-        if s in seen:
-            warnings.append(f"chain[{i}] duplicates chain[{seen[s]}]; deduplicated")
-        else:
-            seen[s] = i
+    n = nest.ambient_dim
+    spans = [
+        span_of(vectors_from_json(nest.field, rows, n, f"input.chain[{i}]"), nest.field, n)
+        for i, rows in enumerate(doc["chain"])
+    ]
+    warnings = [
+        f"chain[{i}] duplicates chain[{spans.index(s)}]; deduplicated"
+        for i, s in enumerate(spans)
+        if spans.index(s) < i
+    ]
     results = {
         "name": name,
         "field": field_to_json(nest.field),
-        "dim": nest.ambient_dim,
+        "dim": n,
         "members": len(nest.chain),
         "member_dims": [s.dim for s in nest.chain],
         "atoms": list(nest.atoms),
         "warnings": warnings,
     }
-    verdicts = [{"property": "valid-nest", "pass": True, "cases": 1}]
-    return results, verdicts
+    chain = nest.chain
+    ck = verify._Check()
+    ck.record(
+        "valid-nest",
+        chain[0].dim == 0
+        and chain[-1].dim == n
+        and all(a.dim < b.dim and a.leq(b) for a, b in zip(chain, chain[1:])),
+        nest_to_json(nest),
+    )
+    return results, ck.verdicts()
 
 
 def cmd_alg_basis(args, docs, inputs):
@@ -155,12 +158,7 @@ def cmd_alg_basis(args, docs, inputs):
     alg = alg_basis(nest)
     strict = strict_ideal_basis(nest)
     atoms = nest.atoms
-    alg_dim = sum(
-        atoms[i] * atoms[j] for i in range(len(atoms)) for j in range(i, len(atoms))
-    )
-    strict_dim = sum(
-        atoms[i] * atoms[j] for i in range(len(atoms)) for j in range(i + 1, len(atoms))
-    )
+    strict_dim = sum(a * b for i, a in enumerate(atoms) for b in atoms[i + 1 :])
     n = nest.ambient_dim
     products = [a @ b for a in alg.basis for b in alg.basis]
     closed = len(matrix_span_basis(list(alg.basis) + products, nest.field, (n, n))) == alg.dim
@@ -168,22 +166,14 @@ def cmd_alg_basis(args, docs, inputs):
         "algebra": algebra_basis_to_json(alg),
         "strict_ideal": algebra_basis_to_json(strict),
     }
-    verdicts = [
-        {"property": "algebra-dimension", "pass": alg.dim == alg_dim, "cases": 1},
-        {"property": "strict-ideal-dimension", "pass": strict.dim == strict_dim, "cases": 1},
-        {
-            "property": "basis-members-in-algebra",
-            "pass": all(in_alg_witness(nest, b) is None for b in alg.basis),
-            "cases": alg.dim,
-        },
-        {
-            "property": "strict-members-shift",
-            "pass": all(in_strict_ideal(nest, b) for b in strict.basis),
-            "cases": strict.dim,
-        },
-        {"property": "closed-under-product", "pass": closed, "cases": len(products)},
-    ]
-    return results, verdicts
+    ce = nest_to_json(nest)
+    ck = verify._Check()
+    ck.record("algebra-dimension", alg.dim == strict_dim + sum(a * a for a in atoms), ce)
+    ck.record("strict-ideal-dimension", strict.dim == strict_dim, ce)
+    ck.record("basis-members-in-algebra", all(in_alg(nest, b) for b in alg.basis), ce)
+    ck.record("strict-members-shift", all(in_strict_ideal(nest, b) for b in strict.basis), ce)
+    ck.record("closed-under-product", closed, ce)
+    return results, ck.verdicts()
 
 
 def _decompose_rank(nest, t):
@@ -191,45 +181,23 @@ def _decompose_rank(nest, t):
     if t.is_zero():
         raise SpecError("matrix.matrix", "the zero operator has no rank decomposition")
     summands = rank_decompose(nest, t)
-    total = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
-    for s in summands:
-        total = total + s
     results = {
         "mode": "rank",
         "rank": rref(t).rank,
         "summands": [matrix_to_json(s) for s in summands],
     }
-    verdicts = [
-        {
-            "property": "summand-count-equals-rank",
-            "pass": len(summands) == rref(t).rank,
-            "cases": 1,
-        },
-        {
-            "property": "summands-are-rank-one",
-            "pass": all(rref(s).rank == 1 for s in summands),
-            "cases": len(summands),
-        },
-        {
-            "property": "summands-in-algebra",
-            "pass": all(in_alg_witness(nest, s) is None for s in summands),
-            "cases": len(summands),
-        },
-        {"property": "sum-reconstructs-operator", "pass": total == t, "cases": 1},
-    ]
-    return results, verdicts
+    ck = verify._Check()
+    ce = {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
+    verify.check_rank_decomposition(ck, nest, t, summands, ce)
+    return results, ck.verdicts()
 
 
 def _decompose_idempotent(nest, docs):
-    doc = docs["matrix"]
-    rows = doc["subspace"]
+    rows = docs["matrix"]["subspace"]
     if not isinstance(rows, list):
         raise SpecError("matrix.subspace", "expected an array of basis vectors")
-    vectors = [
-        vector_from_json(nest.field, v, nest.ambient_dim, f"matrix.subspace[{j}]")
-        for j, v in enumerate(rows)
-    ]
-    m = span_of(vectors, nest.field, nest.ambient_dim)
+    n = nest.ambient_dim
+    m = span_of(vectors_from_json(nest.field, rows, n, "matrix.subspace"), nest.field, n)
     if m.dim == 0:
         raise SpecError("matrix.subspace", "no idempotent with zero range")
     p, parts = idempotent_onto(nest, m)
@@ -239,40 +207,19 @@ def _decompose_idempotent(nest, docs):
         "projection": matrix_to_json(p),
         "parts": [rank_one_to_json(r) for r in parts],
     }
-    verdicts = [
-        {"property": "squares-to-itself", "pass": p @ p == p, "cases": 1},
-        {"property": "range-is-subspace", "pass": range_of(p) == m, "cases": 1},
-        {"property": "one-part-per-dimension", "pass": len(parts) == m.dim, "cases": 1},
-        {
-            "property": "parts-pairwise-annihilate",
-            "pass": all(
-                (a.matrix @ b.matrix).is_zero()
-                for i, a in enumerate(parts)
-                for j, b in enumerate(parts)
-                if i != j
-            ),
-            "cases": len(parts) * max(0, len(parts) - 1),
-        },
-        {
-            "property": "parts-in-algebra",
-            "pass": all(rank_one_in_alg(nest, r) for r in parts),
-            "cases": len(parts),
-        },
-    ]
-    return results, verdicts
+    ck = verify._Check()
+    ce = {"nest": nest_to_json(nest), "subspace": results["subspace"]}
+    verify.check_idempotent(ck, nest, m, p, parts, ce)
+    return results, ck.verdicts()
 
 
 def _decompose_approximant(nest, docs):
-    doc = docs["matrix"]
     t = _matrix_arg(docs, nest)
     _require_in_alg(nest, t, "matrix.matrix")
-    raw = doc.get("vectors", [])
+    raw = docs["matrix"].get("vectors", [])
     if not isinstance(raw, list):
         raise SpecError("matrix.vectors", "expected an array of vectors")
-    vectors = [
-        vector_from_json(nest.field, v, nest.ambient_dim, f"matrix.vectors[{j}]")
-        for j, v in enumerate(raw)
-    ]
+    vectors = vectors_from_json(nest.field, raw, nest.ambient_dim, "matrix.vectors")
     spn = span_of(vectors, nest.field, nest.ambient_dim)
     s = strict_approximant(nest, t, vectors)
     results = {
@@ -280,24 +227,11 @@ def _decompose_approximant(nest, docs):
         "span_dim": spn.dim,
         "approximant": matrix_to_json(s),
     }
-    verdicts = [
-        {
-            "property": "agrees-on-span",
-            "pass": all(s.apply(v) == t.apply(v) for v in vectors),
-            "cases": len(vectors),
-        },
-        {
-            "property": "approximant-in-algebra",
-            "pass": in_alg_witness(nest, s) is None,
-            "cases": 1,
-        },
-        {
-            "property": "rank-at-most-span",
-            "pass": rref(s).rank <= spn.dim,
-            "cases": 1,
-        },
-    ]
-    return results, verdicts
+    ck = verify._Check()
+    ce = {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
+    verify.check_approximant(ck, nest, t, vectors, s, ce)
+    ck.record("rank-at-most-span", rref(s).rank <= spn.dim, ce)
+    return results, ck.verdicts()
 
 
 def cmd_decompose(args, docs, inputs):
@@ -325,22 +259,14 @@ def cmd_decompose(args, docs, inputs):
 
 def cmd_radical(args, docs, inputs):
     nest, _ = _nest_arg(docs)
-    rep = radical_report(nest)
-    results = {"report": radical_report_to_json(rep)}
-    verdicts = [
-        {"property": "radical-matches-strict-ideal", "pass": rep.equal, "cases": 1},
-        {"property": "quotient-dimension", "pass": rep.quotient_check, "cases": 1},
-        {
-            "property": "ideal-nilpotency-bounded",
-            "pass": rep.nilpotency_index <= max(1, len(nest.atoms)),
-            "cases": 1,
-        },
-    ]
-    rng = random.Random(args.seed)
     alg = alg_basis(nest)
+    rep = radical_report(nest, alg)
+    ce = nest_to_json(nest)
+    ck = verify._Check()
+    verify.check_radical_report(ck, rep, ce)
+    rng = random.Random(args.seed)
     wanted = max(1, min(args.cases, 5))
     witnesses = []
-    ok_all = True
     attempts = 0
     while len(witnesses) < wanted and attempts < 100 * wanted:
         attempts += 1
@@ -348,65 +274,39 @@ def cmd_radical(args, docs, inputs):
         if in_strict_ideal(nest, t):
             continue
         x, phi = radical_exclusion_witness(nest, t)
-        r = rank_one(x, phi)
-        blocker = Matrix.identity(nest.field, nest.ambient_dim) - (r.matrix @ t)
-        singular = try_invert(blocker) is None
-        killed = all(not v for v in blocker.apply(x))
-        ok_all = ok_all and singular and killed and rank_one_in_alg(nest, r)
+        t_doc = matrix_to_json(t)
+        singular = verify.check_exclusion_witness(ck, nest, t, x, phi, {"nest": ce, "t": t_doc})
         witnesses.append(
             {
-                "t": matrix_to_json(t),
+                "t": t_doc,
                 "x": vector_to_json(nest.field, x),
                 "phi": vector_to_json(nest.field, phi.coeffs),
                 "singular": singular,
             }
         )
-    results["exclusion_witnesses"] = witnesses
-    verdicts.append(
-        {
-            "property": "exclusion-witnesses-singular",
-            "pass": ok_all and len(witnesses) == wanted,
-            "cases": len(witnesses),
-        }
-    )
-    return results, verdicts
+    ck.record("exclusion-witness-count", len(witnesses) == wanted, ce)
+    results = {"report": radical_report_to_json(rep), "exclusion_witnesses": witnesses}
+    return results, ck.verdicts()
 
 
 def cmd_dual(args, docs, inputs):
     nest, _ = _nest_arg(docs)
     d = nest.dual()
-    k = len(nest.chain)
-    anti = all(
-        nest.chain[i].leq(nest.chain[j]) == d.chain[k - 1 - j].leq(d.chain[k - 1 - i])
-        for i in range(k)
-        for j in range(k)
-    )
-    results = {"dual": nest_to_json(d)}
-    verdicts = [
-        {"property": "double-dual-identity", "pass": d.dual() == nest, "cases": 1},
-        {"property": "anti-isomorphism", "pass": anti, "cases": k * k},
-        {
-            "property": "dimensions-complement",
-            "pass": [s.dim for s in d.chain]
-            == [nest.ambient_dim - s.dim for s in reversed(nest.chain)],
-            "cases": k,
-        },
-    ]
-    return results, verdicts
+    ck = verify._Check()
+    verify.check_dual(ck, nest, d, nest_to_json(nest))
+    return {"dual": nest_to_json(d)}, ck.verdicts()
 
 
 def cmd_reflexivity(args, docs, inputs):
     nest, _ = _nest_arg(docs)
+    ck = verify._Check()
     if docs.get("matrix") is not None:
         doc = docs["matrix"]
         if not isinstance(doc, dict) or not isinstance(doc.get("subspace"), list):
             raise SpecError("matrix", "witness mode expects {\"subspace\": [vectors]}")
-        rows = doc["subspace"]
-        vectors = [
-            vector_from_json(nest.field, v, nest.ambient_dim, f"matrix.subspace[{j}]")
-            for j, v in enumerate(rows)
-        ]
-        m = span_of(vectors, nest.field, nest.ambient_dim)
+        n = nest.ambient_dim
+        rows = vectors_from_json(nest.field, doc["subspace"], n, "matrix.subspace")
+        m = span_of(rows, nest.field, n)
         op, x = reflexivity_witness(nest, m)
         image = op.matrix.apply(x)
         results = {
@@ -416,19 +316,10 @@ def cmd_reflexivity(args, docs, inputs):
             "moved_vector": vector_to_json(nest.field, x),
             "image": vector_to_json(nest.field, image),
         }
-        verdicts = [
-            {
-                "property": "witness-in-algebra",
-                "pass": rank_one_in_alg(nest, op),
-                "cases": 1,
-            },
-            {
-                "property": "witness-moves-subspace",
-                "pass": m.contains(x) and not m.contains(image),
-                "cases": 1,
-            },
-        ]
-        return results, verdicts
+        ce = {"nest": nest_to_json(nest), "subspace": results["subspace"]}
+        ck.record("witness-in-algebra", rank_one_in_alg(nest, op), ce)
+        ck.record("witness-moves-subspace", m.contains(x) and not m.contains(image), ce)
+        return results, ck.verdicts()
     if nest.field.is_rationals:
         raise SpecError(
             "input.field",
@@ -440,27 +331,15 @@ def cmd_reflexivity(args, docs, inputs):
     ones = all_rank_ones_in_alg(nest)
     lat_alg = invariant_lattice(alg.basis, nest.field, nest.ambient_dim)
     lat_ones = invariant_lattice([r.matrix for r in ones], nest.field, nest.ambient_dim)
-    chain = list(nest.chain)
     results = {
         "mode": "full",
-        "chain_dims": [s.dim for s in chain],
+        "chain_dims": [s.dim for s in nest.chain],
         "invariant_dims_algebra": [s.dim for s in lat_alg],
         "invariant_dims_rank_ones": [s.dim for s in lat_ones],
         "rank_one_generators": len(ones),
     }
-    verdicts = [
-        {
-            "property": "chain-recovered-from-algebra",
-            "pass": lat_alg == chain,
-            "cases": len(lat_alg),
-        },
-        {
-            "property": "chain-recovered-from-rank-ones",
-            "pass": lat_ones == chain,
-            "cases": len(lat_ones),
-        },
-    ]
-    return results, verdicts
+    verify.check_reflexivity_lattice(ck, nest, lat_alg, lat_ones, nest_to_json(nest))
+    return results, ck.verdicts()
 
 
 def cmd_ordsum(args, docs, inputs):
@@ -471,81 +350,15 @@ def cmd_ordsum(args, docs, inputs):
     second, _ = nest_from_json(doc["second"], "input.second")
     summed = ordinal_sum(first, second)
     results = {"sum": nest_to_json(summed), "atoms": list(summed.atoms)}
-    verdicts = [
-        {
-            "property": "member-count",
-            "pass": len(summed.chain) == len(first.chain) + len(second.chain) - 1,
-            "cases": 1,
-        },
-        {
-            "property": "atoms-concatenate",
-            "pass": summed.atoms == first.atoms + second.atoms,
-            "cases": 1,
-        },
-    ]
+    ck = verify._Check()
+    ce = {"first": nest_to_json(first), "second": nest_to_json(second)}
+    verify.check_ordinal_sum(ck, first, second, summed, ce)
     if docs.get("matrix") is not None:
         t = _matrix_arg(docs, summed)
         rep = ordsum_analyze(first, second, t)
         results["analysis"] = ordsum_report_to_json(rep)
-        verdicts.append(
-            {
-                "property": "membership-rules-match-direct",
-                "pass": rep.consistent,
-                "cases": 1,
-            }
-        )
-    return results, verdicts
-
-
-def _c00_one(name: str):
-    nest = c00.CATALOG[name]()
-    results = {"descriptor": support_nest_to_json(nest)}
-    verdicts = []
-    if name == "c00-zigzag":
-        results["report"] = zigzag_report_to_json(c00.zigzag_report())
-        rep = c00.zigzag_report()
-        verdicts.append(
-            {
-                "property": "zigzag-no-chain-conditions",
-                "pass": not rep.has_acc and not rep.has_dcc and not rep.well_ordered,
-                "cases": 1,
-            }
-        )
-        verdicts.append(
-            {
-                "property": "zigzag-radical-equals-strict",
-                "pass": rep.radical_equals_strict
-                and all(comp.radical_equals_strict for comp in rep.components),
-                "cases": 1 + len(rep.components),
-            }
-        )
-        return results, verdicts
-    d = c00.dual_support_nest(nest)
-    results["dual"] = support_nest_to_json(d.dual)
-    results["dual_complete"] = d.complete
-    verdicts.append(
-        {
-            "property": "dual-complete-iff-well-ordered",
-            "pass": d.complete == nest.is_well_ordered,
-            "cases": 1,
-        }
-    )
-    if d.witness is not None:
-        results["witness"] = tail_functional_to_json(d.witness)
-        meet = c00.family_meet(nest, "all")
-        inside = d.witness.supported_within(c00.support_annihilator(meet))
-        outside = all(
-            not d.witness.supported_within(c00.support_annihilator(nest.member(k)))
-            for k in range(1, 21)
-        )
-        verdicts.append(
-            {
-                "property": "witness-separates-union",
-                "pass": inside and outside,
-                "cases": 21,
-            }
-        )
-    return results, verdicts
+        verify.check_ordsum_analysis(ck, rep, {**ce, "t": matrix_to_json(t)})
+    return results, ck.verdicts()
 
 
 def cmd_c00(args, docs, inputs):
@@ -560,20 +373,33 @@ def cmd_c00(args, docs, inputs):
     results = {}
     verdicts = []
     for n in names:
-        r, vs = _c00_one(n)
-        results[n] = r
-        for v in vs:
-            verdicts.append({"chain": n, **v})
+        nest = c00.CATALOG[n]()
+        res = results[n] = {"descriptor": support_nest_to_json(nest)}
+        ck = verify._Check()
+        ce = {"nest": nest.order_type}
+        if nest.order_type == c00.ZIGZAG:
+            z = c00.zigzag_report()
+            res["report"] = zigzag_report_to_json(z)
+            verify.check_zigzag(ck, z, ce)
+        else:
+            d = c00.dual_support_nest(nest)
+            res["dual"] = support_nest_to_json(d.dual)
+            res["dual_complete"] = d.complete
+            ck.record("dual-complete-iff-well-ordered", d.complete == nest.is_well_ordered, ce)
+            if d.witness is not None:
+                res["witness"] = tail_functional_to_json(d.witness)
+                verify.check_dual_witness(ck, nest, d.witness, ce)
+        verdicts += [{"chain": n, **v} for v in ck.verdicts()]
     return results, verdicts
 
 
 def cmd_verify(args, docs, inputs):
     suite = args.suite
     inputs["suite"] = suite
-    names = list(SUITES) if suite == "all" else [suite]
+    names = list(verify.SUITES) if suite == "all" else [suite]
     verdicts = []
     for name in names:
-        for v in run_suite(name, seed=args.seed, cases=args.cases, max_dim=args.max_dim):
+        for v in verify.run_suite(name, seed=args.seed, cases=args.cases, max_dim=args.max_dim):
             verdicts.append({"suite": name, **v})
     failures = [v for v in verdicts if not v["pass"]]
     results = {
@@ -630,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="all",
                    help="catalog chain name (default: all of them)")
     p = add("verify", "run a property suite")
-    p.add_argument("suite", choices=list(SUITES) + ["all"],
+    p.add_argument("suite", choices=list(verify.SUITES) + ["all"],
                    help="which suite to run")
     return parser
 

@@ -8,7 +8,6 @@ compared wherever both exist.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .algebra import (
@@ -18,18 +17,16 @@ from .algebra import (
     AlgebraBasis,
     _check_operator,
     _constraint_kernel,
+    _require_member,
     alg_basis,
     in_alg,
-    in_alg_witness,
     in_matrix_span,
     matrix_span_basis,
-    rank_one,
     spans_equal,
 )
-from .matrices import Matrix, kernel_basis, try_invert
+from .matrices import Matrix, kernel_basis
 from .nests import Nest, ordinal_sum
-from .sampling import random_scalar
-from .subspaces import Functional, separating_functional
+from .subspaces import separating_functional
 
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
@@ -156,32 +153,6 @@ def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
     return AlgebraBasis(nest, RADICAL, matrix_span_basis(mats, f, shape))
 
 
-def raddef_probe(nest: Nest, t: Matrix, trials: int = 25, seed: int = 0) -> bool:
-    """Sampled test of the defining property: 1 - A t and 1 - t A invertible.
-
-    Checks every algebra basis element, then `trials` random span elements.
-    Returns False at the first non-invertible witness.
-    """
-    _require_member(nest, t)
-    rng = random.Random(seed)
-    alg = alg_basis(nest)
-    ident = Matrix.identity(nest.field, nest.ambient_dim)
-    candidates = list(alg.basis)
-    for _ in range(trials):
-        acc = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
-        for b in alg.basis:
-            c = random_scalar(nest.field, rng)
-            if c:
-                acc = acc + b.scale(c)
-        candidates.append(acc)
-    for a in candidates:
-        if try_invert(ident - (a @ t)) is None:
-            return False
-        if try_invert(ident - (t @ a)) is None:
-            return False
-    return True
-
-
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:
     """For t in the algebra but not strictly shifting: (x, phi) such that
     R = x (x) phi lies in the algebra and (1 - R t) x = 0, exposing t as
@@ -217,7 +188,7 @@ class RadicalReport:
     quotient_check: bool
 
 
-def radical_report(nest: Nest) -> RadicalReport:
+def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport:
     """Compute the ideal, the radical, and the structural cross-checks.
 
     Over QQ the radical comes from the independent trace-form oracle and
@@ -225,9 +196,15 @@ def radical_report(nest: Nest) -> RadicalReport:
     so the ideal itself is reported: it is nilpotent (certified by the
     computed index) hence inside the radical, and the radical always lies
     inside it, so equality holds structurally.
+
+    A caller that has already built `alg_basis(nest)` passes it as `alg`.
+    The report keeps only its dimension: callers hold many reports.
     """
+    if alg is not None and (alg.nest != nest or alg.kind != FULL):
+        raise ValueError("alg is not the algebra basis of this nest")
     strict = strict_ideal_basis(nest)
-    alg = alg_basis(nest)
+    if alg is None:
+        alg = alg_basis(nest)
     index = _nilpotency_index_of(nest, strict.basis)
     shape = (nest.ambient_dim, nest.ambient_dim)
     if nest.field.is_rationals:
@@ -318,9 +295,3 @@ def ordsum_analyze(first: Nest, second: Nest, t: Matrix) -> OrdinalSumReport:
         radical_direct=rad_direct,
     )
 
-
-def _require_member(nest: Nest, t: Matrix) -> None:
-    witness = in_alg_witness(nest, t)
-    if witness is not None:
-        member, v = witness
-        raise ValueError(f"operator leaves the nest: moves {v} out of {member!r}")

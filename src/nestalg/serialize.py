@@ -57,6 +57,11 @@ def vector_from_json(field: Field, obj, length: int, path: str) -> tuple:
     return tuple(scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(obj))
 
 
+def vectors_from_json(field: Field, rows: list, length: int, path: str) -> list:
+    """Decode each row of a JSON array with vector_from_json, at path[i]."""
+    return [vector_from_json(field, v, length, f"{path}[{i}]") for i, v in enumerate(rows)]
+
+
 def vector_to_json(field: Field, v) -> list:
     return [field.format_scalar(x) for x in v]
 
@@ -71,8 +76,7 @@ def matrix_from_json(field: Field, obj, path: str, rows: int | None = None, cols
         if not obj:
             raise SpecError(path, "empty matrix needs an explicit shape")
         width = len(obj[0])
-    data = [vector_from_json(field, r, width, f"{path}[{i}]") for i, r in enumerate(obj)]
-    return Matrix(field, tuple(data), cols=width)
+    return Matrix(field, tuple(vectors_from_json(field, obj, width, path)), cols=width)
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -92,11 +96,7 @@ def subspace_from_json(field: Field, obj, path: str) -> Subspace:
     vectors = obj["basis"]
     if not isinstance(vectors, list):
         raise SpecError(f"{path}.basis", "expected an array of vectors")
-    rows = [
-        vector_from_json(field, v, ambient, f"{path}.basis[{i}]")
-        for i, v in enumerate(vectors)
-    ]
-    return span_of(rows, field, ambient)
+    return span_of(vectors_from_json(field, vectors, ambient, f"{path}.basis"), field, ambient)
 
 
 def nest_to_json(nest: Nest, name: str | None = None) -> dict:
@@ -128,10 +128,7 @@ def nest_from_json(obj, path: str = "") -> tuple[Nest, str | None]:
     for i, vectors in enumerate(chain_obj):
         if not isinstance(vectors, list):
             raise SpecError(f"{prefix}.chain[{i}]", "expected an array of basis vectors")
-        rows = [
-            vector_from_json(field, v, dim, f"{prefix}.chain[{i}][{j}]")
-            for j, v in enumerate(vectors)
-        ]
+        rows = vectors_from_json(field, vectors, dim, f"{prefix}.chain[{i}]")
         members.append(span_of(rows, field, dim))
     name = obj.get("name")
     if name is not None and not isinstance(name, str):

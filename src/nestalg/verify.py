@@ -3,6 +3,10 @@
 Each suite returns a list of verdict dicts {property, pass, cases, ...};
 results are deterministic functions of (seed, cases, max_dim).  Failures
 carry a JSON-ready witness of the first failing case instead of raising.
+
+The per-object checks are plain `check_*` functions that record into a
+`_Check`; the CLI runs the same functions on the objects of each request,
+so a property has one name and one definition everywhere.
 """
 
 from __future__ import annotations
@@ -138,21 +142,18 @@ def reflexivity_suite(max_dim: int = 4) -> list[dict]:
     max_dim = min(max_dim, 4)
     for n in range(1, max_dim + 1):
         for nest in iter_nests(GF2, n):
-            chain = list(nest.chain)
-            ce = nest_to_json(nest)
-            alg = alg_basis(nest)
-            ck.record(
-                "chain-recovered-from-algebra",
-                invariant_lattice(alg.basis, GF2, n) == chain,
-                ce,
-            )
+            lat_alg = invariant_lattice(alg_basis(nest).basis, GF2, n)
             ones = all_rank_ones_in_alg(nest)
-            ck.record(
-                "chain-recovered-from-rank-ones",
-                invariant_lattice([r.matrix for r in ones], GF2, n) == chain,
-                ce,
-            )
+            lat_ones = invariant_lattice([r.matrix for r in ones], GF2, n)
+            check_reflexivity_lattice(ck, nest, lat_alg, lat_ones, nest_to_json(nest))
     return ck.verdicts()
+
+
+def check_reflexivity_lattice(ck: _Check, nest, lat_alg, lat_ones, ce) -> None:
+    """The invariant lattices of the algebra and of its rank-one members."""
+    chain = list(nest.chain)
+    ck.record("chain-recovered-from-algebra", lat_alg == chain, ce)
+    ck.record("chain-recovered-from-rank-ones", lat_ones == chain, ce)
 
 
 def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[dict]:
@@ -166,20 +167,7 @@ def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[d
         m = random_subspace(field, n, rng, dim=rng.randint(1, n))
         ce = {"nest": nest_to_json(nest), "subspace": subspace_to_json(m)}
         p, parts = idempotent_onto(nest, m)
-        ck.record("idempotent-squares", p @ p == p, ce)
-        ck.record("idempotent-range", range_of(p) == m, ce)
-        ck.record("one-part-per-dimension", len(parts) == m.dim, ce)
-        ck.record(
-            "parts-annihilate-pairwise",
-            all(
-                (a.matrix @ b.matrix).is_zero()
-                for i, a in enumerate(parts)
-                for j, b in enumerate(parts)
-                if i != j
-            ),
-            ce,
-        )
-        ck.record("parts-in-algebra", all(rank_one_in_alg(nest, r) for r in parts), ce)
+        check_idempotent(ck, nest, m, p, parts, ce)
     done = 0
     while done < cases:
         field = QQ if done % 2 else GF2
@@ -190,23 +178,50 @@ def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[d
             continue
         done += 1
         ce = {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
-        summands = rank_decompose(nest, t)
-        total = Matrix.zeros(field, n, n)
-        for s in summands:
-            total = total + s
-        ck.record("summands-count-rank", len(summands) == rref(t).rank, ce)
-        ck.record("summands-are-rank-one", all(rref(s).rank == 1 for s in summands), ce)
-        ck.record("summands-in-algebra", all(in_alg(nest, s) for s in summands), ce)
-        ck.record("summands-sum-exactly", total == t, ce)
+        check_rank_decomposition(ck, nest, t, rank_decompose(nest, t), ce)
         vectors = [random_vector(field, n, rng) for _ in range(rng.randint(0, n))]
         approx = strict_approximant(nest, t, vectors)
-        ck.record(
-            "approximant-agrees-on-span",
-            all(approx.apply(v) == t.apply(v) for v in vectors),
-            ce,
-        )
-        ck.record("approximant-in-algebra", in_alg(nest, approx), ce)
+        check_approximant(ck, nest, t, vectors, approx, ce)
     return ck.verdicts()
+
+
+def check_idempotent(ck: _Check, nest, m, p, parts, ce) -> None:
+    """An idempotent onto m and its rank-one parts (`idempotent_onto`)."""
+    ck.record("idempotent-squares", p @ p == p, ce)
+    ck.record("idempotent-range", range_of(p) == m, ce)
+    ck.record("one-part-per-dimension", len(parts) == m.dim, ce)
+    ck.record(
+        "parts-annihilate-pairwise",
+        all(
+            (a.matrix @ b.matrix).is_zero()
+            for i, a in enumerate(parts)
+            for j, b in enumerate(parts)
+            if i != j
+        ),
+        ce,
+    )
+    ck.record("parts-in-algebra", all(rank_one_in_alg(nest, r) for r in parts), ce)
+
+
+def check_rank_decomposition(ck: _Check, nest, t, summands, ce) -> None:
+    """Rank-one summands of t (`rank_decompose`)."""
+    total = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
+    for s in summands:
+        total = total + s
+    ck.record("summands-count-rank", len(summands) == rref(t).rank, ce)
+    ck.record("summands-are-rank-one", all(rref(s).rank == 1 for s in summands), ce)
+    ck.record("summands-in-algebra", all(in_alg(nest, s) for s in summands), ce)
+    ck.record("summands-sum-exactly", total == t, ce)
+
+
+def check_approximant(ck: _Check, nest, t, vectors, approx, ce) -> None:
+    """A member of the algebra agreeing with t on the vectors (`strict_approximant`)."""
+    ck.record(
+        "approximant-agrees-on-span",
+        all(approx.apply(v) == t.apply(v) for v in vectors),
+        ce,
+    )
+    ck.record("approximant-in-algebra", in_alg(nest, approx), ce)
 
 
 def radical_suite(seed: int = 0, cases: int = 50, max_dim: int = 8) -> list[dict]:
@@ -221,21 +236,7 @@ def radical_suite(seed: int = 0, cases: int = 50, max_dim: int = 8) -> list[dict
         n = rng.randint(2, max(2, max_dim))
         corpus.append(random_nest(QQ, n, rng, members=rng.randint(1, n - 1)))
     for nest in corpus:
-        rep = radical_report(nest)
-        ce = nest_to_json(nest)
-        ck.record("radical-matches-ideal", rep.equal, ce)
-        ck.record("quotient-dimension", rep.quotient_check, ce)
-        ck.record(
-            "ideal-dimension",
-            rep.strict_basis.dim
-            == sum(
-                a * b
-                for i, a in enumerate(nest.atoms)
-                for b in nest.atoms[i + 1 :]
-            ),
-            ce,
-        )
-        ck.record("index-at-most-atoms", rep.nilpotency_index <= len(nest.atoms), ce)
+        check_radical_report(ck, radical_report(nest), nest_to_json(nest))
     # witnesses that non-shifting operators escape the radical
     found = 0
     while found < min(cases, 25):
@@ -246,16 +247,8 @@ def radical_suite(seed: int = 0, cases: int = 50, max_dim: int = 8) -> list[dict
             continue
         found += 1
         x, phi = radical_exclusion_witness(nest, t)
-        r = rank_one(x, phi)
-        blocker = Matrix.identity(QQ, n) - (r.matrix @ t)
         ce = {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
-        ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, r), ce)
-        ck.record("witness-blocks-invertibility", try_invert(blocker) is None, ce)
-        ck.record(
-            "witness-kills-x",
-            all(not v for v in blocker.apply(x)),
-            ce,
-        )
+        check_exclusion_witness(ck, nest, t, x, phi, ce)
     # quasi-inverses terminate and invert exactly
     for k in range(min(cases, 25)):
         field = QQ if k % 2 else GF2
@@ -281,25 +274,38 @@ def radical_suite(seed: int = 0, cases: int = 50, max_dim: int = 8) -> list[dict
     return ck.verdicts()
 
 
+def check_radical_report(ck: _Check, rep, ce) -> None:
+    """The structural cross-checks of a `radical_report`."""
+    atoms = rep.nest.atoms
+    ck.record("radical-matches-ideal", rep.equal, ce)
+    ck.record("quotient-dimension", rep.quotient_check, ce)
+    ck.record(
+        "ideal-dimension",
+        rep.strict_basis.dim == sum(a * b for i, a in enumerate(atoms) for b in atoms[i + 1 :]),
+        ce,
+    )
+    ck.record("index-at-most-atoms", rep.nilpotency_index <= len(atoms), ce)
+
+
+def check_exclusion_witness(ck: _Check, nest, t, x, phi, ce) -> bool:
+    """R = x (x) phi from `radical_exclusion_witness` lies in the algebra and
+    makes 1 - R t singular by killing x.  Returns whether 1 - R t is singular."""
+    r = rank_one(x, phi)
+    blocker = Matrix.identity(nest.field, nest.ambient_dim) - (r.matrix @ t)
+    singular = try_invert(blocker) is None
+    ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, r), ce)
+    ck.record("witness-blocks-invertibility", singular, ce)
+    ck.record("witness-kills-x", all(not v for v in blocker.apply(x)), ce)
+    return singular
+
+
 def dual_suite(seed: int = 0, cases: int = 100) -> list[dict]:
     """Double duals, anti-isomorphism, and the finite annihilator identities."""
     rng = random.Random(seed)
     ck = _Check()
     for _ in range(cases):
         nest = random_nest(QQ, 4, rng)
-        d = nest.dual()
-        ce = nest_to_json(nest)
-        ck.record("double-dual-identity", d.dual() == nest, ce)
-        ck.record("atoms-reverse", d.atoms == tuple(reversed(nest.atoms)), ce)
-        ok = True
-        k = len(nest.chain)
-        for i in range(k):
-            for j in range(k):
-                ok = ok and (
-                    nest.chain[i].leq(nest.chain[j])
-                    == d.chain[k - 1 - j].leq(d.chain[k - 1 - i])
-                )
-        ck.record("anti-isomorphism", ok, ce)
+        check_dual(ck, nest, nest.dual(), nest_to_json(nest))
     subs = enumerate_subspaces(GF2, 3)
     for fam in itertools.chain(
         itertools.combinations(subs, 2), itertools.combinations(subs, 3)
@@ -319,6 +325,21 @@ def dual_suite(seed: int = 0, cases: int = 100) -> list[dict]:
     return ck.verdicts()
 
 
+def check_dual(ck: _Check, nest, d, ce) -> None:
+    """The annihilator chain d of a nest (`Nest.dual`)."""
+    ck.record("double-dual-identity", d.dual() == nest, ce)
+    ck.record("atoms-reverse", d.atoms == tuple(reversed(nest.atoms)), ce)
+    ok = True
+    k = len(nest.chain)
+    for i in range(k):
+        for j in range(k):
+            ok = ok and (
+                nest.chain[i].leq(nest.chain[j])
+                == d.chain[k - 1 - j].leq(d.chain[k - 1 - i])
+            )
+    ck.record("anti-isomorphism", ok, ce)
+
+
 def ordsum_suite(seed: int = 0, cases: int = 20) -> list[dict]:
     """Block membership rules against direct computation on stacked nests."""
     rng = random.Random(seed)
@@ -331,16 +352,7 @@ def ordsum_suite(seed: int = 0, cases: int = 20) -> list[dict]:
         n = first.ambient_dim + second.ambient_dim
         summed = ordinal_sum(first, second)
         ce = {"first": nest_to_json(first), "second": nest_to_json(second)}
-        ck.record(
-            "sum-member-count",
-            len(summed.chain) == len(first.chain) + len(second.chain) - 1,
-            ce,
-        )
-        ck.record(
-            "sum-atoms-concatenate",
-            summed.atoms == first.atoms + second.atoms,
-            ce,
-        )
+        check_ordinal_sum(ck, first, second, summed, ce)
         for style in ("random", "block", "strict"):
             if style == "random":
                 t = random_matrix(QQ, n, n, rng)
@@ -349,17 +361,31 @@ def ordsum_suite(seed: int = 0, cases: int = 20) -> list[dict]:
             else:
                 t = random_span_element(strict_ideal_basis(summed), rng)
             rep = ordsum_analyze(first, second, t)
-            ce_t = {**ce, "t": matrix_to_json(t)}
-            ck.record("alg-rule-matches", rep.alg_predicted == rep.alg_direct, ce_t)
-            ck.record(
-                "strict-rule-matches", rep.strict_predicted == rep.strict_direct, ce_t
-            )
-            ck.record(
-                "radical-rule-matches",
-                rep.radical_predicted == rep.radical_direct,
-                ce_t,
-            )
+            check_ordsum_analysis(ck, rep, {**ce, "t": matrix_to_json(t)})
     return ck.verdicts()
+
+
+def check_ordinal_sum(ck: _Check, first, second, summed, ce) -> None:
+    """The stacked nest `ordinal_sum(first, second)`."""
+    ck.record(
+        "sum-member-count",
+        len(summed.chain) == len(first.chain) + len(second.chain) - 1,
+        ce,
+    )
+    ck.record(
+        "sum-atoms-concatenate",
+        summed.atoms == first.atoms + second.atoms,
+        ce,
+    )
+
+
+def check_ordsum_analysis(ck: _Check, rep, ce) -> None:
+    """Block rules against direct membership (`ordsum_analyze`).  The radical
+    rule exists over QQ only; elsewhere it is not recorded."""
+    ck.record("alg-rule-matches", rep.alg_predicted == rep.alg_direct, ce)
+    ck.record("strict-rule-matches", rep.strict_predicted == rep.strict_direct, ce)
+    if rep.radical_predicted is not None:
+        ck.record("radical-rule-matches", rep.radical_predicted == rep.radical_direct, ce)
 
 
 def c00_suite() -> list[dict]:
@@ -388,28 +414,7 @@ def c00_suite() -> list[dict]:
     ck.record("witness-present", w is not None, None)
     if w is not None:
         ck.attach("omega-star-dual-incomplete", witness=tail_functional_to_json(w))
-        ck.record(
-            "witness-hits-every-coordinate",
-            all(w.evaluate(k) == 1 for k in range(1, 21)),
-            None,
-        )
-        # the witness annihilates the meet of the original family but no
-        # single annihilator contains it, so the union inclusion is strict
-        meet = c00.family_meet(omega_star, "all")
-        ck.record("family-meet-is-empty", meet == c00.SupportSet(c00.EMPTY), None)
-        ck.record(
-            "witness-in-annihilator-of-meet",
-            w.supported_within(c00.support_annihilator(meet)),
-            None,
-        )
-        ck.record(
-            "witness-misses-each-member-annihilator",
-            all(
-                not w.supported_within(c00.support_annihilator(omega_star.member(n)))
-                for n in range(1, 21)
-            ),
-            None,
-        )
+        check_dual_witness(ck, omega_star, w, None)
     dd = c00.dual_support_nest(dual_omega.dual)
     ck.record(
         "double-dual-order-isomorphic",
@@ -484,18 +489,7 @@ def c00_suite() -> list[dict]:
         None,
     )
 
-    z = c00.zigzag_report()
-    ck.record(
-        "zigzag-shape",
-        (not z.well_ordered) and (not z.has_acc) and (not z.has_dcc),
-        None,
-    )
-    ck.record(
-        "zigzag-radical-conclusion",
-        z.radical_equals_strict
-        and all(comp.radical_equals_strict for comp in z.components),
-        None,
-    )
+    check_zigzag(ck, c00.zigzag_report(), None)
 
     rng = random.Random(7)
     for m in range(2, 9):
@@ -518,6 +512,48 @@ def c00_suite() -> list[dict]:
         direct = try_invert(Matrix.identity(QQ, m) - a @ t)
         ck.record("truncation-series-inverts", s == direct, {"level": m})
     return ck.verdicts()
+
+
+def check_dual_witness(ck: _Check, nest, w, ce) -> None:
+    """The functional w that `c00.dual_support_nest` returns when the dual of
+    nest misses its least upper bound."""
+    ck.record(
+        "witness-hits-every-coordinate",
+        all(w.evaluate(k) == 1 for k in range(1, 21)),
+        ce,
+    )
+    # the witness annihilates the meet of the original family but no
+    # single annihilator contains it, so the union inclusion is strict
+    meet = c00.family_meet(nest, "all")
+    ck.record("family-meet-is-empty", meet == c00.SupportSet(c00.EMPTY), ce)
+    ck.record(
+        "witness-in-annihilator-of-meet",
+        w.supported_within(c00.support_annihilator(meet)),
+        ce,
+    )
+    ck.record(
+        "witness-misses-each-member-annihilator",
+        all(
+            not w.supported_within(c00.support_annihilator(nest.member(n)))
+            for n in range(1, 21)
+        ),
+        ce,
+    )
+
+
+def check_zigzag(ck: _Check, z, ce) -> None:
+    """The shape and radical conclusion of `c00.zigzag_report`."""
+    ck.record(
+        "zigzag-shape",
+        (not z.well_ordered) and (not z.has_acc) and (not z.has_dcc),
+        ce,
+    )
+    ck.record(
+        "zigzag-radical-conclusion",
+        z.radical_equals_strict
+        and all(comp.radical_equals_strict for comp in z.components),
+        ce,
+    )
 
 
 def run_suite(name: str, seed: int = 0, cases: int = 100, max_dim: int = 4) -> list[dict]:

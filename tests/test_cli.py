@@ -1,10 +1,24 @@
 """End-to-end runs of the command-line interface."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nestalg import cli, verify
+from nestalg.algebra import idempotent_onto, rank_decompose
+from nestalg.fields import QQ
+from nestalg.matrices import Matrix
+from nestalg.nests import ordinal_sum
+from nestalg.radical import ordsum_analyze
+from nestalg.serialize import nest_from_json
+from nestalg.subspaces import span_of
 
 FLAG3 = {
     "field": "Q",
@@ -35,6 +49,14 @@ def write(tmp_path, name, doc):
 
 def load_report(proc):
     return json.loads(proc.stdout)
+
+
+def run_main(*argv):
+    """cli.main in process: (exit code, parsed report)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, json.loads(buf.getvalue())
 
 
 def test_check_valid_nest(tmp_path):
@@ -109,8 +131,8 @@ def test_decompose_rank(tmp_path):
     assert len(report["results"]["summands"]) == 2
     assert all(v["pass"] for v in report["verdicts"])
     names = {v["property"] for v in report["verdicts"]}
-    assert "summand-count-equals-rank" in names
-    assert "sum-reconstructs-operator" in names
+    assert "summands-count-rank" in names
+    assert "summands-sum-exactly" in names
 
 
 def test_decompose_rejects_outsider(tmp_path):
@@ -339,3 +361,141 @@ def test_output_flag_writes_file(tmp_path):
     assert proc.returncode == 0
     report = json.loads(out.read_text())
     assert report["command"] == "check"
+
+
+RANK_OP = [["0", "1", "1"], ["0", "0", "1"], ["0", "0", "0"]]
+
+
+def test_failing_verdict_carries_witness(tmp_path, monkeypatch):
+    real = cli.rank_decompose
+    monkeypatch.setattr(cli, "rank_decompose", lambda nest, t: real(nest, t)[:-1])
+    code, report = run_main(
+        "decompose",
+        "--input", write(tmp_path, "nest.json", FLAG3),
+        "--matrix", write(tmp_path, "op.json", {"matrix": RANK_OP}),
+    )
+    assert code == 1
+    failing = [v for v in report["verdicts"] if not v["pass"]]
+    assert {v["property"] for v in failing} == {"summands-count-rank", "summands-sum-exactly"}
+    for v in failing:
+        assert v["witness"]["t"] == RANK_OP
+        assert v["witness"]["nest"]["dim"] == 3
+
+
+def checker_names(check, *objects):
+    ck = verify._Check()
+    check(ck, *objects, None)
+    return list(ck.results)
+
+
+def test_cli_property_names_are_the_suites(tmp_path):
+    nest, _ = nest_from_json(FLAG3)
+    spec = write(tmp_path, "nest.json", FLAG3)
+    t = Matrix(QQ, RANK_OP)
+    _, report = run_main("decompose", "--input", spec,
+                         "--matrix", write(tmp_path, "op.json", {"matrix": RANK_OP}))
+    names = checker_names(verify.check_rank_decomposition, nest, t, rank_decompose(nest, t))
+    assert [v["property"] for v in report["verdicts"]] == names
+
+    rows = [["1", "0", "0"], ["0", "1", "0"]]
+    m = span_of([[1, 0, 0], [0, 1, 0]], QQ, 3)
+    _, report = run_main("decompose", "--input", spec,
+                         "--matrix", write(tmp_path, "sub.json", {"subspace": rows}))
+    names = checker_names(verify.check_idempotent, nest, m, *idempotent_onto(nest, m))
+    assert [v["property"] for v in report["verdicts"]] == names
+
+    _, report = run_main("dual", "--input", spec)
+    assert [v["property"] for v in report["verdicts"]] == checker_names(
+        verify.check_dual, nest, nest.dual())
+
+    line = {"field": "Q", "dim": 2, "chain": [[["1", "0"]]]}
+    first, _ = nest_from_json(line)
+    op = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "1"], ["0", "0", "0", "1"]]
+    _, report = run_main("ordsum",
+                         "--input", write(tmp_path, "pair.json", {"first": line, "second": line}),
+                         "--matrix", write(tmp_path, "op4.json", {"matrix": op}))
+    rep = ordsum_analyze(first, first, Matrix(QQ, op))
+    names = (checker_names(verify.check_ordinal_sum, first, first, ordinal_sum(first, first))
+             + checker_names(verify.check_ordsum_analysis, rep))
+    assert [v["property"] for v in report["verdicts"]] == names
+
+    suites = {v["property"] for name in ("decompose", "dual", "ordsum")
+              for v in verify.run_suite(name, seed=1, cases=2, max_dim=3)}
+    assert set(names) <= suites
+
+
+def test_verify_report_is_pinned():
+    proc = run_cli("verify", "all", "--seed", "7", "--cases", "5", "--max-dim", "3")
+    assert proc.returncode == 0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "5f7ddddf0bf247f8e8ee35bc4184ebe6804d14a75883574bc7dca280453621c9"
+
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                              max_size=3),
+    max_leaves=6,
+)
+
+
+def maybe_junk(draw, doc):
+    """Some documents get one top-level value replaced by junk."""
+    if draw(st.sampled_from([False, False, True])):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return doc
+
+
+def entries(field):
+    return st.integers(0, 1) if field != "Q" else st.sampled_from(["0", "1", "-1", "1/2"])
+
+
+@st.composite
+def nest_specs(draw, field, dim):
+    """Members are prefixes of one list of vectors, so they nest."""
+    vectors = draw(st.lists(st.lists(entries(field), min_size=dim, max_size=dim),
+                            min_size=1, max_size=dim))
+    cuts = draw(st.lists(st.integers(1, len(vectors)), max_size=dim))
+    chain = [vectors[:k] for k in cuts]
+    return maybe_junk(draw, {"field": field, "dim": dim, "chain": chain})
+
+
+@st.composite
+def payloads(draw, field, dim):
+    vec = st.lists(entries(field), min_size=dim, max_size=dim)
+    zero, one = ("0", "1") if field == "Q" else (0, 1)
+    identity = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    matrix = st.just(identity) | st.lists(vec, min_size=dim, max_size=dim)
+    keys = draw(st.sampled_from([("matrix",), ("subspace",), ("matrix", "vectors"), ("vectors",)]))
+    doc = {k: draw(matrix if k == "matrix" else st.lists(vec, min_size=1, max_size=dim))
+           for k in keys}
+    return maybe_junk(draw, doc)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["check", "alg-basis", "decompose", "radical", "dual",
+                             "reflexivity", "ordsum", "c00"]),
+    field=st.sampled_from(["Q", {"p": 2}, {"p": 3}]),
+    dim=st.integers(1, 3),
+    cases=st.integers(-1, 3),
+    name=st.sampled_from(["all", "c00-omega-star", "c00-zigzag", "nope"]),
+    data=st.data(),
+)
+def test_main_exit_contract_fuzz(tmp_path, command, field, dim, cases, name, data):
+    doc = data.draw(nest_specs(field, dim))
+    if command == "ordsum":
+        doc = {"first": doc, "second": data.draw(nest_specs(field, 1))}
+        dim += 1
+    argv = [command, "--input", write(tmp_path, "in.json", doc), "--cases", str(cases)]
+    payload = data.draw(payloads(field, dim) | st.none())
+    if payload is not None:
+        argv += ["--matrix", write(tmp_path, "m.json", payload)]
+    if command == "c00":
+        argv = ["c00", "--name", name]
+    code, report = run_main(*argv)
+    assert code in (0, 1, 2)
+    assert ("error" in report) == (code == 2)
+    if code != 2:
+        assert (code == 0) == all(v["pass"] for v in report["verdicts"])

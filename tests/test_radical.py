@@ -17,7 +17,6 @@ from nestalg.radical import (
     nilpotency_index,
     ordsum_analyze,
     quasi_inverse,
-    raddef_probe,
     radical_basis_oracle,
     radical_exclusion_witness,
     radical_report,
@@ -116,12 +115,6 @@ def test_radical_oracle_matches_ideal():
     assert spans_equal(rad.basis, strict.basis, QQ, (3, 3))
 
 
-def test_raddef_probe():
-    nest = flag_nest(QQ, 3)
-    assert raddef_probe(nest, qmat([[0, 1, 1], [0, 0, 1], [0, 0, 0]]))
-    assert not raddef_probe(nest, qmat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
-
-
 def test_exclusion_witness_frozen():
     nest = flag_nest(QQ, 2)
     t = Matrix.identity(QQ, 2)
@@ -189,8 +182,17 @@ def test_radical_report_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(radical, "_constraint_kernel", counting)
     for nest in (flag_nest(QQ, 3), coordinate_nest(QQ, (2, 1, 2)), coordinate_nest(GF2, (1, 2))):
         calls.clear()
-        radical_report(nest)
+        rep = radical_report(nest)
         assert len(calls) == 2
+        # a caller's prebuilt algebra basis is used as is
+        alg = alg_basis(nest)
+        calls.clear()
+        assert radical_report(nest, alg) == rep
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            radical_report(nest, strict_ideal_basis(nest))
+        with pytest.raises(ValueError):
+            radical_report(trivial_nest(nest.field, nest.ambient_dim), alg)
 
 
 def test_radical_report_finite_field_is_structural():
