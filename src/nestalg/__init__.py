@@ -2,6 +2,7 @@
 
 from .algebra import (
     AlgebraBasis,
+    MembershipError,
     RankOneOp,
     alg_basis,
     all_rank_ones_in_alg,

@@ -36,6 +36,32 @@ class AlgebraBasis:
         return len(self.basis)
 
 
+class MembershipError(ValueError):
+    """An operator fails a membership precondition; carries the chain member
+    whose basis vector it moves out of bounds, that vector and the field."""
+
+    def __init__(self, kind: str, member: Subspace, vector: Vector):
+        self.member = member
+        self.vector = vector
+        self.field = member.field
+        moved = ", ".join(map(str, vector))
+        space = "algebra" if kind == FULL else "strict ideal"
+        super().__init__(
+            f"operator is not in the {space}: it moves the basis vector "
+            f"({moved}) of the chain member of dimension {member.dim} out of bounds"
+        )
+
+
+def _pairs(nest: Nest, kind: str) -> list[tuple[Subspace, Subspace]]:
+    """The (source, target) pairs with T source ⊆ target that define the
+    algebra (FULL: every member invariant) or the strict ideal (STRICT:
+    every nonzero member into its predecessor)."""
+    chain = nest.chain
+    if kind == FULL:
+        return [(m, m) for m in chain[1:-1]]
+    return list(zip(chain[1:], chain))
+
+
 def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
     """Solve T . source ⊆ target for all (source, target) pairs.
 
@@ -58,42 +84,43 @@ def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
                             if vj:
                                 row[i * n + j] = f.mul(ai, vj)
                 rows.append(tuple(row))
-    if not rows:
-        sol = kernel_basis(Matrix.zeros(f, 0, n * n))
-    else:
-        sol = kernel_basis(Matrix._of(f, tuple(rows), n * n))
-    mats = tuple(
+    sol = kernel_basis(Matrix._of(f, tuple(rows), n * n))
+    return tuple(
         Matrix._of(f, tuple(row[i * n : (i + 1) * n] for i in range(n)), n)
         for row in sol.entries
     )
-    return mats
 
 
 def alg_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of the algebra of all operators preserving the chain."""
-    pairs = [(m, m) for m in nest.chain[1:-1]]
-    return AlgebraBasis(nest, FULL, _constraint_kernel(nest, pairs))
+    return AlgebraBasis(nest, FULL, _constraint_kernel(nest, _pairs(nest, FULL)))
+
+
+def _violation(nest: Nest, t: Matrix, kind: str):
+    """None if t maps each source of the kind's pairs into its target, else
+    (source, basis vector of the source that t moves out of the target)."""
+    _check_operator(nest, t)
+    for source, target in _pairs(nest, kind):
+        for v in source.basis.entries:
+            if not target.contains(t.apply(v)):
+                return source, v
+    return None
 
 
 def in_alg_witness(nest: Nest, t: Matrix):
     """None if t preserves every member, else (member, vector) violating it."""
-    _check_operator(nest, t)
-    for member in nest.chain[1:-1]:
-        for v in member.basis.entries:
-            if not member.contains(t.apply(v)):
-                return member, v
-    return None
+    return _violation(nest, t, FULL)
 
 
 def in_alg(nest: Nest, t: Matrix) -> bool:
     return in_alg_witness(nest, t) is None
 
 
-def _require_member(nest: Nest, t: Matrix) -> None:
-    witness = in_alg_witness(nest, t)
+def _require_member(nest: Nest, t: Matrix, kind: str = FULL) -> None:
+    """Raise MembershipError unless t lies in the algebra (or the strict ideal)."""
+    witness = _violation(nest, t, kind)
     if witness is not None:
-        member, v = witness
-        raise ValueError(f"operator leaves the nest: moves {v} out of {member!r}")
+        raise MembershipError(kind, *witness)
 
 
 def _check_operator(nest: Nest, t: Matrix) -> None:
@@ -214,40 +241,17 @@ def strict_approximant(nest: Nest, t: Matrix, vectors) -> Matrix:
 def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     """All subspaces of GF(p)^n invariant under every given operator.
 
-    Exhaustive over the subspace lattice, so the bound of
-    enumerate_subspaces applies (p in {2,3}, n <= 4).
+    A filter over enumerate_subspaces, so its bound applies (p in {2,3},
+    n <= 4): a subspace s is kept when Subspace.reduce leaves no residual
+    of t v for every basis row v of s and every t in a basis of the span of
+    the operators, whose lattice is the same.
     """
-    ops = list(ops)
-    for t in ops:
-        if t.field != field or (t.rows, t.cols) != (ambient_dim, ambient_dim):
-            raise ValueError("operator shape or field mismatch")
-    p = field.p
-    if p is None:
-        raise ValueError("invariant lattices are enumerated over finite fields only")
-    subs = enumerate_subspaces(field, ambient_dim)
-    rows_of = [t.entries for t in ops]
-    out = []
-    for s in subs:
-        basis = s.basis.entries
-        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in basis)
-        ok = True
-        for rows in rows_of:
-            for v in basis:
-                w = [sum(a * b for a, b in zip(row, v)) % p for row in rows]
-                for row, pc in zip(basis, pivots):
-                    c = w[pc]
-                    if c:
-                        for j in range(pc, ambient_dim):
-                            if row[j]:
-                                w[j] = (w[j] - c * row[j]) % p
-                if any(w):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(s)
-    return out
+    ops = matrix_span_basis(ops, field, (ambient_dim, ambient_dim))
+    return [
+        s
+        for s in enumerate_subspaces(field, ambient_dim)
+        if all(is_zero_vector(s.reduce(t.apply(v))) for t in ops for v in s.basis.entries)
+    ]
 
 
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
@@ -304,8 +308,6 @@ def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matri
         if m.field != field or (m.rows, m.cols) != shape:
             raise ValueError("operators must match the given field and shape")
         stacked.append(m.vectorize())
-    if not stacked:
-        return ()
     red = rref(Matrix._of(field, tuple(stacked), rows * cols))
     return tuple(
         Matrix._of(field, tuple(row[i * cols : (i + 1) * cols] for i in range(rows)), cols)

@@ -24,11 +24,11 @@ from pathlib import Path
 
 from . import c00, verify
 from .algebra import (
+    MembershipError,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
     in_alg,
-    in_alg_witness,
     invariant_lattice,
     matrix_span_basis,
     rank_decompose,
@@ -37,7 +37,7 @@ from .algebra import (
     strict_approximant,
 )
 from .matrices import Matrix, rref
-from .nests import IncomparableError, ordinal_sum
+from .nests import IncomparableError, new_nest, ordinal_sum
 from .radical import (
     in_strict_ideal,
     ordsum_analyze,
@@ -49,6 +49,7 @@ from .sampling import random_span_element
 from .serialize import (
     SpecError,
     algebra_basis_to_json,
+    chain_from_json,
     field_to_json,
     matrix_from_json,
     matrix_to_json,
@@ -67,21 +68,6 @@ from .serialize import (
 from .subspaces import check_enumeration_bound, span_of
 
 
-class MembershipError(ValueError):
-    """An operator input violates a membership precondition; carries the
-    offending chain member and moved vector for the error report."""
-
-    def __init__(self, label: str, kind: str, member, vector, field):
-        self.label = label
-        self.kind = kind
-        self.member = member
-        self.vector = vector
-        self.field = field
-        super().__init__(
-            f"{label}: operator is not {kind}: moves a basis vector of a chain member out of bounds"
-        )
-
-
 def _read_json_file(path: str, label: str):
     try:
         raw = Path(path).read_bytes()
@@ -95,13 +81,6 @@ def _read_json_file(path: str, label: str):
     return doc, digest
 
 
-def _require_in_alg(nest, t: Matrix, label: str) -> None:
-    w = in_alg_witness(nest, t)
-    if w is not None:
-        member, v = w
-        raise MembershipError(label, "in the algebra", member, v, nest.field)
-
-
 def _matrix_arg(docs, nest) -> Matrix:
     doc = docs.get("matrix")
     if doc is None:
@@ -112,25 +91,24 @@ def _matrix_arg(docs, nest) -> Matrix:
     return matrix_from_json(nest.field, doc["matrix"], "matrix.matrix", n, n)
 
 
-def _nest_arg(docs, path: str = "input"):
+def _input_doc(docs):
     doc = docs.get("input")
     if doc is None:
         raise SpecError("input", "this command needs --input FILE with a nest spec")
-    return nest_from_json(doc, path)
+    return doc
+
+
+def _nest_arg(docs):
+    return nest_from_json(_input_doc(docs), "input")
 
 
 def cmd_check(args, docs, inputs):
-    doc = docs.get("input")
-    nest, name = _nest_arg(docs)
-    n = nest.ambient_dim
-    spans = [
-        span_of(vectors_from_json(nest.field, rows, n, f"input.chain[{i}]"), nest.field, n)
-        for i, rows in enumerate(doc["chain"])
-    ]
+    field, n, members, name = chain_from_json(_input_doc(docs), "input")
+    nest = new_nest(field, n, members)
     warnings = [
-        f"chain[{i}] duplicates chain[{spans.index(s)}]; deduplicated"
-        for i, s in enumerate(spans)
-        if spans.index(s) < i
+        f"chain[{i}] duplicates chain[{members.index(s)}]; deduplicated"
+        for i, s in enumerate(members)
+        if members.index(s) < i
     ]
     results = {
         "name": name,
@@ -177,7 +155,6 @@ def cmd_alg_basis(args, docs, inputs):
 
 
 def _decompose_rank(nest, t):
-    _require_in_alg(nest, t, "matrix.matrix")
     if t.is_zero():
         raise SpecError("matrix.matrix", "the zero operator has no rank decomposition")
     summands = rank_decompose(nest, t)
@@ -215,7 +192,6 @@ def _decompose_idempotent(nest, docs):
 
 def _decompose_approximant(nest, docs):
     t = _matrix_arg(docs, nest)
-    _require_in_alg(nest, t, "matrix.matrix")
     raw = docs["matrix"].get("vectors", [])
     if not isinstance(raw, list):
         raise SpecError("matrix.vectors", "expected an array of vectors")
@@ -500,7 +476,7 @@ def main(argv=None) -> int:
         if getattr(args, "matrix", None):
             docs["matrix"], inputs["matrix"] = _read_json_file(args.matrix, "matrix")
         results, verdicts = HANDLERS[args.command](args, docs, inputs)
-    except (SpecError, IncomparableError, MembershipError, ValueError) as exc:
+    except ValueError as exc:  # SpecError, IncomparableError and MembershipError among them
         report = {
             "command": args.command,
             "inputs": inputs,

@@ -127,9 +127,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> tuple[Scalar, ...]:
         """All field elements; defined only for GF(p)."""
         if self.p is None:

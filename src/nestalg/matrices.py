@@ -119,18 +119,19 @@ class Matrix:
         return Matrix._of(self.field, entries, self.cols)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product; v has length self.cols."""
+        """Matrix-vector product; v has length self.cols.
+
+        Sums raw products per row, reduced once mod p over GF(p).
+        """
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero()
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        p = self.field.p
+        if p is None:
+            zero = self.field.zero()
+            return tuple(
+                sum((a * b for a, b in zip(row, v) if a and b), zero) for row in self.entries
+            )
+        return tuple([sum([a * b for a, b in zip(row, v)]) % p for row in self.entries])
 
     def transpose(self) -> Matrix:
         if not self.entries:
@@ -147,9 +148,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -304,8 +302,6 @@ def kernel_basis(m: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(red.matrix.entries[i][fc])
         vectors.append(tuple(v))
-    if not vectors:
-        return Matrix.zeros(f, 0, m.cols)
     canon = rref(Matrix._of(f, tuple(vectors), m.cols))
     return Matrix._of(f, canon.matrix.entries[: canon.rank], m.cols)
 
@@ -315,8 +311,6 @@ def solve(m: Matrix, b: Vector):
     f = m.field
     if len(b) != m.rows:
         raise ValueError("rhs length mismatch")
-    if m.rows == 0:
-        return tuple(f.zero() for _ in range(m.cols))
     b = tuple(f.coerce(x) for x in b)
     aug = Matrix._of(f, tuple(row + (bv,) for row, bv in zip(m.entries, b)), m.cols + 1)
     red = rref(aug)
@@ -333,8 +327,6 @@ def try_invert(m: Matrix):
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    if n == 0:
-        return Matrix.zeros(m.field, 0, 0)
     ident = Matrix.identity(m.field, n)
     aug = Matrix._of(
         m.field, tuple(row + irow for row, irow in zip(m.entries, ident.entries)), 2 * n
@@ -360,7 +352,7 @@ def coerce_vector(field: Field, values) -> Vector:
 
 
 def is_zero_vector(v: Vector) -> bool:
-    return all(not x for x in v)
+    return not any(v)
 
 
 def outer(field: Field, x: Vector, phi: Vector) -> Matrix:

@@ -17,7 +17,9 @@ from .algebra import (
     AlgebraBasis,
     _check_operator,
     _constraint_kernel,
+    _pairs,
     _require_member,
+    _violation,
     alg_basis,
     in_alg,
     in_matrix_span,
@@ -31,19 +33,12 @@ from .subspaces import separating_functional
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of {T : T maps each member into its predecessor}."""
-    pairs = [(nest.chain[i], nest.chain[i - 1]) for i in range(1, len(nest.chain))]
-    return AlgebraBasis(nest, STRICT, _constraint_kernel(nest, pairs))
+    return AlgebraBasis(nest, STRICT, _constraint_kernel(nest, _pairs(nest, STRICT)))
 
 
 def in_strict_ideal_witness(nest: Nest, t: Matrix):
     """None if t shifts every member into its predecessor, else a violation."""
-    _check_operator(nest, t)
-    for i in range(1, len(nest.chain)):
-        member, pred = nest.chain[i], nest.chain[i - 1]
-        for v in member.basis.entries:
-            if not pred.contains(t.apply(v)):
-                return member, v
-    return None
+    return _violation(nest, t, STRICT)
 
 
 def in_strict_ideal(nest: Nest, t: Matrix) -> bool:
@@ -92,10 +87,7 @@ def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
     nilpotent of index at most the number of atoms and the series is finite.
     """
     _require_member(nest, a)
-    violation = in_strict_ideal_witness(nest, t)
-    if violation is not None:
-        member, v = violation
-        raise ValueError(f"t does not shift {member!r} into its predecessor at {v}")
+    _require_member(nest, t, STRICT)
     at = a @ t
     s = Matrix.identity(nest.field, nest.ambient_dim)
     power = at
@@ -140,15 +132,14 @@ def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
             val = sum((a[k] * b[k] for k in a.keys() & b.keys()), zero)
             gram[i][j] = val
             gram[j][i] = val
-    coords = kernel_basis(Matrix._of(f, tuple(tuple(row) for row in gram), d)) if d else None
+    coords = kernel_basis(Matrix._of(f, tuple(tuple(row) for row in gram), d))
     mats = []
-    if d:
-        for row in coords.entries:
-            acc = Matrix.zeros(f, nest.ambient_dim, nest.ambient_dim)
-            for c, b in zip(row, alg.basis):
-                if c:
-                    acc = acc + b.scale(c)
-            mats.append(acc)
+    for row in coords.entries:
+        acc = Matrix.zeros(f, nest.ambient_dim, nest.ambient_dim)
+        for c, b in zip(row, alg.basis):
+            if c:
+                acc = acc + b.scale(c)
+        mats.append(acc)
     shape = (nest.ambient_dim, nest.ambient_dim)
     return AlgebraBasis(nest, RADICAL, matrix_span_basis(mats, f, shape))
 
@@ -158,19 +149,16 @@ def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:
     R = x (x) phi lies in the algebra and (1 - R t) x = 0, exposing t as
     outside the radical.
 
-    Search order: chain members ascending, their basis vectors in order.
+    x is the strict ideal's first violation (in_strict_ideal_witness).  As t
+    lies in the algebra, x lies outside the predecessor that t moves it out
+    of, so that predecessor is x's principal predecessor.
     """
     _require_member(nest, t)
-    if in_strict_ideal(nest, t):
+    violation = in_strict_ideal_witness(nest, t)
+    if violation is None:
         raise ValueError("t strictly shifts the chain; no exclusion witness exists")
-    for member in nest.chain[1:]:
-        for v in member.basis.entries:
-            image = t.apply(v)
-            pred = nest.principal_pred(v)
-            if not pred.contains(image):
-                phi = separating_functional(image, pred)
-                return v, phi
-    raise AssertionError("unreachable: a violation exists on some member basis")
+    _, x = violation
+    return x, separating_functional(t.apply(x), nest.principal_pred(x))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from .fields import QQ, Field
 from .matrices import Matrix
 from .nests import Nest, new_nest
 from .radical import OrdinalSumReport, RadicalReport
-from .subspaces import Functional, Subspace, span_of
+from .subspaces import Subspace, span_of
 
 
 class SpecError(ValueError):
@@ -111,6 +111,13 @@ def nest_to_json(nest: Nest, name: str | None = None) -> dict:
 
 
 def nest_from_json(obj, path: str = "") -> tuple[Nest, str | None]:
+    field, dim, members, name = chain_from_json(obj, path)
+    return new_nest(field, dim, members), name
+
+
+def chain_from_json(obj, path: str = "") -> tuple[Field, int, list[Subspace], str | None]:
+    """Decode a nest spec up to its members, in input order and before
+    new_nest deduplicates them: (field, dim, members, name)."""
     prefix = path or "nest"
     if not isinstance(obj, dict):
         raise SpecError(prefix, "expected an object")
@@ -133,7 +140,7 @@ def nest_from_json(obj, path: str = "") -> tuple[Nest, str | None]:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise SpecError(f"{prefix}.name", "expected a string")
-    return new_nest(field, dim, members), name
+    return field, dim, members, name
 
 
 def rank_one_to_json(r: RankOneOp) -> dict:
@@ -144,10 +151,6 @@ def rank_one_to_json(r: RankOneOp) -> dict:
         "matrix": matrix_to_json(r.matrix),
         "idempotent": r.is_idempotent,
     }
-
-
-def functional_to_json(phi: Functional) -> list:
-    return vector_to_json(phi.field, phi.coeffs)
 
 
 def algebra_basis_to_json(b: AlgebraBasis) -> dict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .fields import Field, Scalar
 from .matrices import Matrix, Vector, coerce_vector, dot, is_zero_vector, kernel_basis, rref, solve
@@ -35,18 +35,27 @@ class Subspace:
             raise ValueError("vector length mismatch")
         return is_zero_vector(self.reduce(v))
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each basis row, computed on first use."""
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis.entries)
+
     def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating against the RREF basis rows."""
-        f = self.field
+        """Residual of v after eliminating against the RREF basis rows: zero
+        exactly when v lies in the subspace.
+
+        One loop on raw scalars for both fields; over GF(p) the residual is
+        reduced mod p once at the end, as raw multiples change nothing mod p.
+        """
+        p = self.field.p
         v = list(v)
-        for row in self.basis.entries:
-            pc = next(j for j, x in enumerate(row) if x)
+        for row, pc in zip(self.basis.entries, self.pivots):
             c = v[pc]
             if c:
                 for j in range(pc, self.ambient_dim):
                     if row[j]:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return tuple(v)
+                        v[j] -= c * row[j]
+        return tuple(v) if p is None else tuple([x % p for x in v])
 
     def leq(self, other: Subspace) -> bool:
         self._check_peer(other)
@@ -58,9 +67,7 @@ class Subspace:
         """Intersection, via the kernel of the stacked annihilator constraints."""
         self._check_peer(other)
         constraints = self.annihilator().basis.entries + other.annihilator().basis.entries
-        if not constraints:
-            return full(self.field, self.ambient_dim)
-        sol = kernel_basis(Matrix(self.field, constraints))
+        sol = kernel_basis(Matrix._of(self.field, constraints, self.ambient_dim))
         return Subspace(self.field, self.ambient_dim, sol)
 
     def join(self, other: Subspace) -> Subspace:
@@ -69,8 +76,6 @@ class Subspace:
 
     def annihilator(self) -> Subspace:
         """{phi in the dual : phi vanishes on this subspace}."""
-        if self.dim == 0:
-            return full(self.field, self.ambient_dim)
         return Subspace(self.field, self.ambient_dim, kernel_basis(self.basis))
 
     def _check_peer(self, other: Subspace) -> None:
@@ -80,14 +85,12 @@ class Subspace:
 
 def span_of(vectors, field: Field, ambient_dim: int) -> Subspace:
     """Span of the given vectors; the empty list spans {0}."""
-    rows = [coerce_vector(field, v) for v in vectors]
+    rows = tuple(coerce_vector(field, v) for v in vectors)
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("vector length mismatch")
-    if not rows:
-        return Subspace(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
-    red = rref(Matrix(field, tuple(rows)))
-    basis = Matrix(field, red.matrix.entries[: red.rank], cols=ambient_dim)
+    red = rref(Matrix._of(field, rows, ambient_dim))
+    basis = Matrix._of(field, red.matrix.entries[: red.rank], ambient_dim)
     return Subspace(field, ambient_dim, basis)
 
 
@@ -133,8 +136,6 @@ class Functional:
         return is_zero_vector(self.coeffs)
 
     def kernel(self) -> Subspace:
-        if self.is_zero():
-            return full(self.field, self.ambient_dim)
         sol = kernel_basis(Matrix(self.field, (self.coeffs,)))
         return Subspace(self.field, self.ambient_dim, sol)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nestalg.algebra import (
+    MembershipError,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -28,12 +29,13 @@ from nestalg.fields import GF2, GF3, QQ
 from nestalg.matrices import Matrix
 from nestalg.nests import coordinate_nest, flag_nest, new_nest, trivial_nest
 from nestalg.sampling import (
+    random_matrix,
     random_nest,
     random_span_element,
     random_subspace,
     random_vector,
 )
-from nestalg.subspaces import Functional, span_of, zero_subspace
+from nestalg.subspaces import Functional, enumerate_subspaces, span_of, zero_subspace
 
 Q = Fraction
 
@@ -195,8 +197,12 @@ def test_rank_decompose_rejects_bad_input():
     nest = flag_nest(QQ, 2)
     with pytest.raises(ValueError):
         rank_decompose(nest, Matrix.zeros(QQ, 2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(MembershipError) as err:
         rank_decompose(nest, qmat([[0, 0], [1, 0]]))
+    assert err.value.member == span_of([(1, 0)], QQ, 2)
+    assert err.value.vector == (Q(1), Q(0))
+    assert err.value.field == QQ
+    assert "(1, 0)" in str(err.value)
 
 
 def test_rank_decompose_random():
@@ -243,6 +249,27 @@ def test_invariant_lattice_recovers_chain():
             [r.matrix for r in all_rank_ones_in_alg(nest)], GF2, nest.ambient_dim
         )
         assert tuple(rank_one_route) == nest.chain
+
+
+def test_invariant_lattice_matches_span_reference():
+    # operator sets from no nest: s is invariant exactly when the images of
+    # its basis, computed here on raw ints, add nothing to its span
+    rng = random.Random(49)
+    for field in (GF2, GF3):
+        for n in (1, 2, 3):
+            for k in (0, 1, 1, 2, 2):
+                ops = [random_matrix(field, n, n, rng) for _ in range(k)]
+                expected = []
+                for s in enumerate_subspaces(field, n):
+                    basis = list(s.basis.entries)
+                    images = [
+                        tuple(sum(a * b for a, b in zip(row, v)) for row in t.entries)
+                        for t in ops
+                        for v in basis
+                    ]
+                    if span_of(basis + images, field, n).dim == s.dim:
+                        expected.append(s)
+                assert invariant_lattice(ops, field, n) == expected
 
 
 def test_invariant_lattice_rejects_rationals():

@@ -164,6 +164,8 @@ def test_try_invert_known_values():
     assert try_invert(qmat([[1, 2], [2, 4]])) is None
     g5 = GF(5)
     assert try_invert(Matrix(g5, ((2, 0), (0, 3)))) == Matrix(g5, ((3, 0), (0, 2)))
+    for field in (QQ, GF2):
+        assert try_invert(Matrix(field, (), cols=0)) == Matrix.zeros(field, 0, 0)
 
 
 # elimination properties against the determinant oracle

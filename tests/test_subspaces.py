@@ -59,6 +59,22 @@ def test_contains_and_leq():
     assert plane.leq(full(GF3, 3))
 
 
+def test_contains_matches_span_dimension():
+    # v lies in s exactly when adding it to the basis leaves the dimension alone
+    rng = random.Random(26)
+    for field in FIELDS:
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            s = rand_subspace(field, n, rng)
+            coeffs = [rng.randint(-3, 3) for _ in s.basis.entries]
+            combo = [sum(c * row[j] for c, row in zip(coeffs, s.basis.entries)) for j in range(n)]
+            if rng.random() < 0.5:
+                combo[rng.randrange(n)] += rng.randint(1, 3)
+            v = tuple(field.coerce(x) for x in combo)
+            expected = span_of(list(s.basis.entries) + [v], field, n).dim == s.dim
+            assert s.contains(v) == expected
+
+
 def test_lattice_laws_random():
     rng = random.Random(21)
     for field in FIELDS:
