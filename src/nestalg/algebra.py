@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import Field
-from .matrices import Matrix, Vector, coerce_vector, is_zero_vector, kernel_basis, outer, rref
+from .matrices import Matrix, Vector, coerce_vector, dot, is_zero_vector, kernel_basis, outer, rref
 from .nests import Nest
 from .subspaces import (
     Functional,
@@ -84,11 +84,14 @@ def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
                             if vj:
                                 row[i * n + j] = f.mul(ai, vj)
                 rows.append(tuple(row))
-    sol = kernel_basis(Matrix._of(f, tuple(rows), n * n))
-    return tuple(
-        Matrix._of(f, tuple(row[i * n : (i + 1) * n] for i in range(n)), n)
-        for row in sol.entries
-    )
+    return _operators(f, kernel_basis(Matrix._of(f, tuple(rows), n * n)).entries, (n, n))
+
+
+def _operators(field: Field, rows, shape: tuple[int, int]) -> tuple[Matrix, ...]:
+    """The operators of the given shape with these row-major entries, the
+    inverse of Matrix.vectorize."""
+    r, c = shape
+    return tuple(Matrix._of(field, tuple(v[i * c : i * c + c] for i in range(r)), c) for v in rows)
 
 
 def alg_basis(nest: Nest) -> AlgebraBasis:
@@ -158,8 +161,13 @@ def rank_one_in_alg(nest: Nest, r: RankOneOp) -> bool:
     principal member must sit inside ker phi."""
     if r.matrix.field != nest.field or r.phi.ambient_dim != nest.ambient_dim:
         raise ValueError("rank-one operator does not match the nest")
-    pred = nest.principal_pred(r.x)
-    return all(not r.phi(row) for row in pred.basis.entries)
+    return _kills(nest.field, r.phi.coeffs, nest.principal_pred(r.x).basis.entries)
+
+
+def _kills(field: Field, phi: Vector, pred_rows) -> bool:
+    """Rank-one membership: x (x) phi lies in the algebra exactly when phi
+    vanishes on pred_rows, the basis rows of x's principal predecessor."""
+    return all(not dot(field, phi, row) for row in pred_rows)
 
 
 def transporter(nest: Nest, x, y) -> RankOneOp:
@@ -266,10 +274,9 @@ def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
     out = []
     for x in vectors:
         pred_rows = preds[x].basis.entries
-        for phi_coeffs in vectors:
-            phi = Functional(f, n, phi_coeffs)
-            if all(not phi(row) for row in pred_rows):
-                out.append(rank_one(x, phi))
+        for phi in vectors:
+            if _kills(f, phi, pred_rows):
+                out.append(rank_one(x, Functional(f, n, phi)))
     return out
 
 
@@ -302,17 +309,13 @@ def reflexivity_witness(nest: Nest, m: Subspace) -> tuple[RankOneOp, Vector]:
 
 def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matrix, ...]:
     """Canonical basis of the span of the given operators (vectorized RREF)."""
-    rows, cols = shape
     stacked = []
     for m in mats:
         if m.field != field or (m.rows, m.cols) != shape:
             raise ValueError("operators must match the given field and shape")
         stacked.append(m.vectorize())
-    red = rref(Matrix._of(field, tuple(stacked), rows * cols))
-    return tuple(
-        Matrix._of(field, tuple(row[i * cols : (i + 1) * cols] for i in range(rows)), cols)
-        for row in red.matrix.entries[: red.rank]
-    )
+    red = rref(Matrix._of(field, tuple(stacked), shape[0] * shape[1]))
+    return _operators(field, red.matrix.entries[: red.rank], shape)
 
 
 def in_matrix_span(mats, t: Matrix) -> bool:

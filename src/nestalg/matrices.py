@@ -121,15 +121,17 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product; v has length self.cols.
 
-        Sums raw products per row, reduced once mod p over GF(p).
+        Sums raw products per row, reduced once mod p over GF(p).  Over QQ
+        the nonzero entries of v are found once, not once per row.
         """
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         p = self.field.p
         if p is None:
             zero = self.field.zero()
+            nonzero = [(j, b) for j, b in enumerate(v) if b]
             return tuple(
-                sum((a * b for a, b in zip(row, v) if a and b), zero) for row in self.entries
+                sum([row[j] * b for j, b in nonzero if row[j]], zero) for row in self.entries
             )
         return tuple([sum([a * b for a, b in zip(row, v)]) % p for row in self.entries])
 

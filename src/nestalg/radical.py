@@ -17,6 +17,7 @@ from .algebra import (
     AlgebraBasis,
     _check_operator,
     _constraint_kernel,
+    _operators,
     _pairs,
     _require_member,
     _violation,
@@ -24,11 +25,10 @@ from .algebra import (
     in_alg,
     in_matrix_span,
     matrix_span_basis,
-    spans_equal,
 )
 from .matrices import Matrix, kernel_basis
 from .nests import Nest, ordinal_sum
-from .subspaces import separating_functional
+from .subspaces import full, separating_functional, span_of
 
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
@@ -63,21 +63,30 @@ def nilpotency_index(nest: Nest, t: Matrix):
 def ideal_nilpotency_index(nest: Nest) -> int:
     """Least k such that every product of k strictly-shifting operators is zero.
 
-    Never exceeds the number of atoms of the nest.
+    Equals the number of atoms of the nest.
     """
     return _nilpotency_index_of(nest, strict_ideal_basis(nest).basis)
 
 
 def _nilpotency_index_of(nest: Nest, basis) -> int:
-    """ideal_nilpotency_index for the ideal's already-built basis."""
-    shape = (nest.ambient_dim, nest.ambient_dim)
-    k = 1
-    current = matrix_span_basis(basis, nest.field, shape)
-    while current:
-        k += 1
-        products = [c @ b for c in current for b in basis]
-        current = matrix_span_basis(products, nest.field, shape)
-    return k
+    """Nilpotency index of the span J of `basis`, on n-column subspaces.
+
+    V_0 = F^n and V_k = span{b v : b in basis, v in V_(k-1)} = J^k F^n, as
+    J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.  The
+    V_k only shrink, so V_k = V_(k-1) != 0, or V_n != 0, proves J not
+    nilpotent, and an AssertionError names the basis.
+    """
+    f = nest.field
+    n = nest.ambient_dim
+    space = full(f, n)
+    for k in range(1, n + 1):
+        image = span_of([b.apply(v) for b in basis for v in space.basis.entries], f, n)
+        if image.dim == 0:
+            return k
+        if image == space:
+            break
+        space = image
+    raise AssertionError(f"the span of {basis} is not nilpotent: J^{k} F^n has dim {image.dim}")
 
 
 def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
@@ -104,8 +113,9 @@ def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
 def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
     """Radical of the algebra via the trace form: {T : trace(T S) = 0 for all S}.
 
-    The trace-form characterization of the radical of a matrix algebra is
-    sound in characteristic zero only, so this route is restricted to QQ.
+    The radical lies in this trace-form kernel in every characteristic (for
+    T in the radical every T S is nilpotent, so its trace is 0); only their
+    equality needs characteristic zero, so this route is restricted to QQ.
     """
     if not nest.field.is_rationals:
         raise ValueError("the trace-form radical is only valid over the rationals")
@@ -113,35 +123,18 @@ def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
 
 
 def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
-    """radical_basis_oracle for the algebra's already-built basis (over QQ)."""
-    nest = alg.nest
-    d = alg.dim
-    f = nest.field
-    # trace(A B) is the sum of A[r][c] * B[c][r]: pair the nonzero entries
-    # of A with those of B keyed by transposed position.
-    nonzero = [
-        {(r, c): x for r, row in enumerate(b.entries) for c, x in enumerate(row) if x}
-        for b in alg.basis
-    ]
-    transposed = [{(c, r): x for (r, c), x in e.items()} for e in nonzero]
-    zero = f.zero()
-    gram = [[zero] * d for _ in range(d)]
-    for i, a in enumerate(nonzero):
-        for j in range(i, d):
-            b = transposed[j]
-            val = sum((a[k] * b[k] for k in a.keys() & b.keys()), zero)
-            gram[i][j] = val
-            gram[j][i] = val
-    coords = kernel_basis(Matrix._of(f, tuple(tuple(row) for row in gram), d))
-    mats = []
-    for row in coords.entries:
-        acc = Matrix.zeros(f, nest.ambient_dim, nest.ambient_dim)
-        for c, b in zip(row, alg.basis):
-            if c:
-                acc = acc + b.scale(c)
-        mats.append(acc)
-    shape = (nest.ambient_dim, nest.ambient_dim)
-    return AlgebraBasis(nest, RADICAL, matrix_span_basis(mats, f, shape))
+    """radical_basis_oracle for the algebra's already-built basis (over QQ).
+
+    Both products run on the algebra's own basis matrices, never on J's.
+    """
+    f = alg.nest.field
+    n = alg.nest.ambient_dim
+    stacked = Matrix._of(f, tuple(b.vectorize() for b in alg.basis), n * n)
+    # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
+    columns = tuple(zip(*(b.transpose().vectorize() for b in alg.basis)))
+    gram = stacked @ Matrix._of(f, columns, alg.dim)
+    mats = _operators(f, (kernel_basis(gram) @ stacked).entries, (n, n))
+    return AlgebraBasis(alg.nest, RADICAL, matrix_span_basis(mats, f, (n, n)))
 
 
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:
@@ -194,10 +187,9 @@ def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport
     if alg is None:
         alg = alg_basis(nest)
     index = _nilpotency_index_of(nest, strict.basis)
-    shape = (nest.ambient_dim, nest.ambient_dim)
     if nest.field.is_rationals:
         rad = _trace_form_radical(alg)
-        equal = spans_equal(strict.basis, rad.basis, nest.field, shape)
+        equal = rad.basis == strict.basis  # both canonical, so equal iff same span
         oracle_used = True
     else:
         rad = AlgebraBasis(nest, RADICAL, strict.basis)

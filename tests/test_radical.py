@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from nestalg import algebra, radical
-from nestalg.algebra import alg_basis, in_alg, rank_one, spans_equal
-from nestalg.fields import GF2, QQ
-from nestalg.matrices import Matrix, try_invert
+from nestalg.algebra import alg_basis, in_alg, matrix_span_basis, rank_one, spans_equal
+from nestalg.fields import GF2, GF3, QQ
+from nestalg.matrices import Matrix, kernel_basis, try_invert
 from nestalg.nests import coordinate_nest, flag_nest, ordinal_sum, trivial_nest
 from nestalg.radical import (
     ideal_nilpotency_index,
@@ -70,6 +70,62 @@ def test_ideal_nilpotency_bounded_by_atoms():
         for _ in range(15):
             nest = random_nest(field, rng.randint(1, 5), rng)
             assert ideal_nilpotency_index(nest) <= len(nest.atoms)
+
+
+def _index_by_product_spans(nest, basis):
+    """Reference: span J, J^2, ... as n^2-column operator spans until zero."""
+    shape = (nest.ambient_dim, nest.ambient_dim)
+    k = 1
+    current = matrix_span_basis(basis, nest.field, shape)
+    while current:
+        k += 1
+        current = matrix_span_basis([c @ b for c in current for b in basis], nest.field, shape)
+    return k
+
+
+def test_ideal_nilpotency_index_matches_product_spans():
+    rng = random.Random(56)
+    for field in (QQ, GF2, GF3):
+        for _ in range(12):
+            nest = random_nest(field, rng.randint(1, 5), rng)
+            index = ideal_nilpotency_index(nest)
+            assert index == _index_by_product_spans(nest, strict_ideal_basis(nest).basis)
+            assert index == len(nest.atoms)
+
+
+def test_nilpotency_index_of_rejects_non_nilpotent_spans():
+    nest = flag_nest(QQ, 3)
+    ident = Matrix.identity(QQ, 3)
+    with pytest.raises(AssertionError, match="not nilpotent"):
+        radical._nilpotency_index_of(nest, (ident,))
+    # J F^n shrinks once, then stays at span{e1}
+    stalls = (qmat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), qmat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(AssertionError, match="not nilpotent"):
+        radical._nilpotency_index_of(nest, stalls)
+
+
+def _radical_by_scale_and_add(alg):
+    """Reference: the trace-form kernel from traces of products, each radical
+    element summed as coordinate times basis element."""
+    n = alg.nest.ambient_dim
+    gram = Matrix(QQ, [[(a @ b).trace() for b in alg.basis] for a in alg.basis])
+    mats = []
+    for row in kernel_basis(gram).entries:
+        acc = Matrix.zeros(QQ, n, n)
+        for c, b in zip(row, alg.basis):
+            acc = acc + b.scale(c)
+        mats.append(acc)
+    return matrix_span_basis(mats, QQ, (n, n))
+
+
+def test_radical_oracle_matches_scale_and_add():
+    rng = random.Random(57)
+    for _ in range(12):
+        nest = random_nest(QQ, rng.randint(1, 5), rng)
+        rad = radical_basis_oracle(nest).basis
+        assert rad == _radical_by_scale_and_add(alg_basis(nest))
+        n = nest.ambient_dim
+        assert spans_equal(rad, strict_ideal_basis(nest).basis, QQ, (n, n))
 
 
 def test_quasi_inverse_frozen():
