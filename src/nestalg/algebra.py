@@ -63,28 +63,31 @@ def _pairs(nest: Nest, kind: str) -> list[tuple[Subspace, Subspace]]:
 
 
 def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
-    """Solve T . source ⊆ target for all (source, target) pairs.
+    """Solve T . source ⊆ target for all (source, target) pairs of `_pairs`."""
+    f, n = nest.field, nest.ambient_dim
+    kernel = kernel_basis(Matrix._of(f, _constraint_rows(nest, pairs), n * n))
+    return _operators(f, kernel.entries, (n, n))
 
-    Unknowns are the n^2 entries of T, row-major; each constraint row reads
-    a_i * v_j against T_ij for an annihilator row a of the target and a basis
-    row v of the source.
-    """
+
+def _constraint_rows(nest: Nest, pairs) -> tuple:
+    """The constraints of T . source ⊆ target on the n^2 entries of T, row-major:
+    a_i * v_j against T_ij for an annihilator row a of the target and a row v
+    of the source.  A source's predecessor is the previous pair's source (or
+    {0}), already mapped into the target by that pair, so v runs only over
+    the source's RREF rows whose pivot is not a pivot of the predecessor: a
+    complement of it, which makes the rows exactly as many as their rank."""
     f = nest.field
-    n = nest.ambient_dim
     zero = f.zero()
-    rows = []
+    rows: list = []
+    pred_pivots: tuple[int, ...] = ()
     for source, target in pairs:
-        ann = target.annihilator().basis.entries
-        for a in ann:
-            for v in source.basis.entries:
-                row = [zero] * (n * n)
-                for i, ai in enumerate(a):
-                    if ai:
-                        for j, vj in enumerate(v):
-                            if vj:
-                                row[i * n + j] = f.mul(ai, vj)
-                rows.append(tuple(row))
-    return _operators(f, kernel_basis(Matrix._of(f, tuple(rows), n * n)).entries, (n, n))
+        fresh = [v for v, pc in zip(source.basis.entries, source.pivots) if pc not in pred_pivots]
+        pred_pivots = source.pivots
+        for a in target.annihilator().basis.entries:
+            rows += [
+                tuple([f.mul(ai, vj) if ai and vj else zero for ai in a for vj in v]) for v in fresh
+            ]
+    return tuple(rows)
 
 
 def _operators(field: Field, rows, shape: tuple[int, int]) -> tuple[Matrix, ...]:
@@ -250,33 +253,43 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     """All subspaces of GF(p)^n invariant under every given operator.
 
     A filter over enumerate_subspaces, so its bound applies (p in {2,3},
-    n <= 4): a subspace s is kept when Subspace.reduce leaves no residual
-    of t v for every basis row v of s and every t in a basis of the span of
-    the operators, whose lattice is the same.
+    n <= 4).  The distinct basis rows of the enumerated subspaces are mapped
+    by a basis of the operators' span (same lattice) in one product with
+    the transposed operators side by side; s is kept when the images of
+    its basis rows all lie in s.elements.
     """
-    ops = matrix_span_basis(ops, field, (ambient_dim, ambient_dim))
-    return [
-        s
-        for s in enumerate_subspaces(field, ambient_dim)
-        if all(is_zero_vector(s.reduce(t.apply(v))) for t in ops for v in s.basis.entries)
-    ]
+    n = ambient_dim
+    ops = matrix_span_basis(ops, field, (n, n))
+    subspaces = enumerate_subspaces(field, n)
+    rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
+    side_by_side = tuple(tuple([t.entries[i][j] for t in ops for i in range(n)]) for j in range(n))
+    products = Matrix._of(field, rows, n) @ Matrix._of(field, side_by_side, len(ops) * n)
+    images = {
+        v: {w[k : k + n] for k in range(0, len(w), n)} for v, w in zip(rows, products.entries)
+    }
+    return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
 
 
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
-    """Every rank-one member of the algebra over a small finite field,
-    one per (x, phi) pair of nonzero vectors (scalar multiples included)."""
+    """Every rank-one member of the algebra over a small finite field, one
+    per (x, phi) pair of nonzero vectors (scalar multiples included), x
+    outer and phi inner.  The phis killing each possible principal
+    predecessor are found once, and x (x) phi is assembled from the rows
+    c * phi, computed once per phi."""
     f = nest.field
     if f.is_rationals:
         raise ValueError("rank-one enumeration needs a finite field")
-    n = nest.ambient_dim
+    n, p = nest.ambient_dim, f.p
     vectors = [v for v in itertools.product(f.elements(), repeat=n) if any(v)]
-    preds = {v: nest.principal_pred(v) for v in vectors}
+    factors = {
+        phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
+        for phi in vectors
+    }
+    killing = {m: [v for v in vectors if _kills(f, v, m.basis.entries)] for m in nest.chain[:-1]}
     out = []
     for x in vectors:
-        pred_rows = preds[x].basis.entries
-        for phi in vectors:
-            if _kills(f, phi, pred_rows):
-                out.append(rank_one(x, Functional(f, n, phi)))
+        for functional, multiples in map(factors.get, killing[nest.principal_pred(x)]):
+            out.append(RankOneOp(x, functional, Matrix._of(f, tuple([multiples[c] for c in x]), n)))
     return out
 
 

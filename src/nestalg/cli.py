@@ -16,6 +16,7 @@ algebra, bounds exceeded).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -215,15 +216,8 @@ def cmd_decompose(args, docs, inputs):
     doc = docs.get("matrix")
     if doc is None or not isinstance(doc, dict):
         raise SpecError("matrix", "this command needs --matrix FILE with a JSON object")
-    mode = args.mode
-    if mode is None:
-        if "subspace" in doc:
-            mode = "idempotent"
-        elif "vectors" in doc:
-            mode = "approximant"
-        else:
-            mode = "rank"
-    inputs["mode"] = mode
+    inferred = "idempotent" if "subspace" in doc else "approximant" if "vectors" in doc else "rank"
+    mode = inputs["mode"] = args.mode or inferred
     if mode == "rank":
         return _decompose_rank(nest, _matrix_arg(docs, nest))
     if mode == "idempotent":
@@ -399,7 +393,9 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="nestalg",
         description="Exact nest-algebra computations with self-verifying JSON reports.",

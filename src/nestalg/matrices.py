@@ -109,7 +109,7 @@ class Matrix:
                 if a:
                     for j, b in other_row:
                         acc[j] += a * b
-            out.append(tuple(x % p for x in acc))
+            out.append(tuple([x % p for x in acc]))
         return Matrix._of(f, tuple(out), cols)
 
     def scale(self, c) -> Matrix:
@@ -209,17 +209,17 @@ class RrefResult:
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form (unique: leading ones, pivot columns cleared).
 
-    Over QQ the elimination runs on integer rows: each row is scaled by the
-    lcm of its denominators, rows are combined fraction-free and divided by
-    the gcd of their entries, and each pivot row is divided by its pivot
-    only at the end.  Every step rescales a row by a nonzero scalar or adds
-    a multiple of one row to another, so the row space never changes, and
-    the RREF of a row space is unique: the output equals that of the
-    field-generic loop, which runs over GF(p).
+    Both back ends run on plain ints.  Over QQ each row is scaled by the lcm
+    of its denominators, rows are combined fraction-free and divided by the
+    gcd of their entries, and each pivot row is divided by its pivot only at
+    the end.  Over GF(p) the pivot row is scaled by the pivot's inverse mod
+    p and every other row is combined as (x - a*y) % p.  Every step rescales
+    a row by a nonzero scalar or adds a multiple of one row to another, so
+    the row space never changes, and the RREF of a row space is unique.
     """
     if m.field.is_rationals:
         return _rref_rational(m)
-    return _rref_generic(m)
+    return _rref_mod_p(m)
 
 
 def _rref_rational(m: Matrix) -> RrefResult:
@@ -264,11 +264,11 @@ def _rref_rational(m: Matrix) -> RrefResult:
     return RrefResult(Matrix._of(m.field, tuple(out), ncols), tuple(pivots), r)
 
 
-def _rref_generic(m: Matrix) -> RrefResult:
-    """Gauss-Jordan elimination through the field's own operations."""
-    f = m.field
-    rows = [list(row) for row in m.entries]
+def _rref_mod_p(m: Matrix) -> RrefResult:
+    """The GF(p) back end of rref, on int rows with entries in [0, p)."""
+    p = m.field.p
     nrows, ncols = m.rows, m.cols
+    rows = [list(row) for row in m.entries]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -278,17 +278,18 @@ def _rref_generic(m: Matrix) -> RrefResult:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        if inv != f.one():
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = rows[r] = [x * inv % p for x in prow]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            a = row[c]
+            if a and i != r:
+                rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    reduced = Matrix._of(f, tuple(tuple(row) for row in rows), ncols)
-    return RrefResult(reduced, tuple(pivots), len(pivots))
+    return RrefResult(Matrix._of(m.field, tuple(map(tuple, rows)), ncols), tuple(pivots), r)
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -40,6 +40,14 @@ class Subspace:
         """Pivot column of each basis row, computed on first use."""
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis.entries)
 
+    @cached_property
+    def elements(self) -> frozenset:
+        """All p**dim vectors of the subspace over GF(p), computed on first use."""
+        if self.field.is_rationals:
+            raise ValueError("a subspace over the rationals cannot be enumerated")
+        coeffs = tuple(itertools.product(self.field.elements(), repeat=self.dim))
+        return frozenset((Matrix._of(self.field, coeffs, self.dim) @ self.basis).entries)
+
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after eliminating against the RREF basis rows: zero
         exactly when v lies in the subspace.

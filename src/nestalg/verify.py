@@ -57,13 +57,6 @@ from .subspaces import enumerate_subspaces
 SUITES = ("lattice", "reflexivity", "decompose", "radical", "dual", "ordsum", "c00")
 
 
-def _verdict(prop: str, ok: bool, cases: int, witness=None) -> dict:
-    v = {"property": prop, "pass": ok, "cases": cases}
-    if witness is not None:
-        v["witness"] = witness
-    return v
-
-
 class _Check:
     """Collects pass/fail per property, keeping the first failure witness."""
 
@@ -86,7 +79,9 @@ class _Check:
     def verdicts(self) -> list[dict]:
         out = []
         for prop, (cases, ok, ce) in self.results.items():
-            v = _verdict(prop, ok, cases, ce)
+            v = {"property": prop, "pass": ok, "cases": cases}
+            if ce is not None:
+                v["witness"] = ce
             v.update(self.attached.get(prop, {}))
             out.append(v)
         return out

@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 
 from nestalg.algebra import (
+    FULL,
+    STRICT,
     MembershipError,
+    _constraint_rows,
+    _pairs,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -26,8 +30,8 @@ from nestalg.algebra import (
     transporter,
 )
 from nestalg.fields import GF2, GF3, QQ
-from nestalg.matrices import Matrix
-from nestalg.nests import coordinate_nest, flag_nest, new_nest, trivial_nest
+from nestalg.matrices import Matrix, kernel_basis
+from nestalg.nests import coordinate_nest, flag_nest, iter_nests, new_nest, trivial_nest
 from nestalg.sampling import (
     random_matrix,
     random_nest,
@@ -295,6 +299,43 @@ def test_all_rank_ones_exhaustive():
             if in_alg(nest, r.matrix):
                 expected.add((x, coeffs))
     assert found == expected
+
+
+def test_all_rank_ones_match_ordered_scan():
+    # the same RankOneOps in the same order as a scan of every (x, phi)
+    # pair, x outer and phi inner, through rank_one and the full membership test
+    for field, n in ((GF2, 3), (GF3, 2)):
+        vectors = [v for v in itertools.product(range(field.p), repeat=n) if any(v)]
+        for nest in iter_nests(field, n):
+            expected = []
+            for x in vectors:
+                for coeffs in vectors:
+                    r = rank_one(x, Functional(field, n, coeffs))
+                    if in_alg(nest, r.matrix):
+                        expected.append(r)
+            assert all_rank_ones_in_alg(nest) == expected
+
+
+def test_constraint_rows_match_rank():
+    # one constraint row per unit of rank, and the same canonical basis as
+    # the rows taken from every basis row of each source
+    rng = random.Random(53)
+    for field in (QQ, GF2, GF3):
+        for _ in range(8):
+            nest = random_nest(field, rng.randint(1, 5), rng)
+            n = nest.ambient_dim
+            for kind in (FULL, STRICT):
+                pairs = _pairs(nest, kind)
+                rows = _constraint_rows(nest, pairs)
+                full_rows = tuple(
+                    tuple(field.mul(a[i], v[j]) for i in range(n) for j in range(n))
+                    for source, target in pairs
+                    for a in target.annihilator().basis.entries
+                    for v in source.basis.entries
+                )
+                want = kernel_basis(Matrix(field, full_rows, cols=n * n))
+                assert kernel_basis(Matrix(field, rows, cols=n * n)) == want
+                assert len(rows) == n * n - want.rows
 
 
 def test_reflexivity_witness_frozen():

@@ -351,6 +351,17 @@ def test_reports_are_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_parser_is_built_once_and_reused(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    spec = write(tmp_path, "nest.json", FLAG3)
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["alg-basis", "--no-such-flag"])
+    code, report = run_main("alg-basis", "--input", spec)
+    fresh = run_cli("alg-basis", "--input", spec)
+    assert code == fresh.returncode == 0
+    assert report == load_report(fresh)
+
+
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli(

@@ -14,7 +14,7 @@ import pytest
 from nestalg.fields import GF, GF2, GF3, MAX_MODULUS, QQ, Field
 from nestalg.matrices import (
     Matrix,
-    _rref_generic,
+    RrefResult,
     dot,
     kernel_basis,
     outer,
@@ -56,6 +56,34 @@ def det_oracle(m):
             term = f.mul(term, m.entries[i][j])
         total = f.add(total, term if inversions % 2 == 0 else f.neg(term))
     return total
+
+
+def rref_reference(m):
+    """Gauss-Jordan elimination through the field's own operations; the
+    reference for both back ends of rref."""
+    f = m.field
+    rows = [list(row) for row in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = f.inv(rows[r][c])
+        if inv != f.one():
+            rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    reduced = Matrix(f, tuple(tuple(row) for row in rows), cols=ncols)
+    return RrefResult(reduced, tuple(pivots), len(pivots))
 
 
 # field arithmetic
@@ -258,11 +286,38 @@ def test_rref_integer_rows_match_generic_loop():
         invert_aug = Matrix(QQ, tuple(r + i for r, i in zip(square.entries, ident.entries)))
         cases += [m, low, padded, solve_aug, invert_aug]
     for m in cases:
-        got, want = rref(m), _rref_generic(m)
+        got, want = rref(m), rref_reference(m)
         assert got.matrix == want.matrix
         assert (got.pivots, got.rank) == (want.pivots, want.rank)
         assert (got.matrix.rows, got.matrix.cols) == (m.rows, m.cols)
         assert all(type(x) is Fraction for row in got.matrix.entries for x in row)
+
+
+def test_rref_mod_p_matches_generic_loop():
+    # Over GF(p) rref eliminates on plain ints; the field-generic loop is the
+    # reference, on the shapes rref, solve and try_invert hand it.
+    rng = random.Random(14)
+    for field in (GF2, GF3, GF(7)):
+        cases = [Matrix.zeros(field, r, c) for r, c in ((0, 3), (3, 0), (0, 0), (2, 3))]
+        for _ in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+            m = rand_matrix(field, rows, cols, rng)
+            k = rng.randint(1, 3)
+            low = rand_matrix(field, rows, k, rng) @ rand_matrix(field, k, cols, rng)
+            zero_row = (0,) * cols
+            padded = Matrix(field, (zero_row,) + low.entries + (zero_row,))
+            b = tuple(rng.randrange(field.p) for _ in range(rows))
+            solve_aug = Matrix(field, tuple(row + (bv,) for row, bv in zip(m.entries, b)))
+            square = rand_matrix(field, rows, rows, rng)
+            ident = Matrix.identity(field, rows)
+            invert_aug = Matrix(field, tuple(r + i for r, i in zip(square.entries, ident.entries)))
+            cases += [m, low, padded, solve_aug, invert_aug]
+        for m in cases:
+            got, want = rref(m), rref_reference(m)
+            assert got.matrix == want.matrix
+            assert (got.pivots, got.rank) == (want.pivots, want.rank)
+            assert (got.matrix.rows, got.matrix.cols) == (m.rows, m.cols)
+            assert all(type(x) is int for row in got.matrix.entries for x in row)
 
 
 def test_product_matches_entrywise_sum():

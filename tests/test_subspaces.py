@@ -227,6 +227,21 @@ def test_enumerate_membership_exhaustive_gf2_2():
         assert len(members) == 2 ** s.dim
 
 
+def test_elements_match_contains_exhaustive():
+    for field in (GF2, GF3):
+        for n in range(4):
+            vectors = list(itertools.product(range(field.p), repeat=n))
+            for s in enumerate_subspaces(field, n):
+                assert len(s.elements) == field.p ** s.dim
+                for v in vectors:
+                    assert (v in s.elements) == s.contains(v)
+
+
+def test_elements_refuse_rationals():
+    with pytest.raises(ValueError):
+        span_of([(1, 2)], QQ, 2).elements
+
+
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
         enumerate_subspaces(GF2, 5)
