@@ -1,9 +1,9 @@
 """The strictly-shifting ideal of a nest algebra and its radical.
 
-Over the rationals the radical is computed independently through the trace
-form; over GF(p) the strictly-shifting ideal is certified directly (it is
-nilpotent, and the radical always sits inside it), so the two routes can be
-compared wherever both exist.
+The radical is computed independently through the trace form over every
+field: tr(x y) on the algebra pairs only its diagonal blocks M_d(F), where
+it is nondegenerate in any characteristic (tr(E_ij E_ji) = 1), so its kernel
+is the radical exactly when it equals the strictly-shifting ideal.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .algebra import (
     alg_basis,
     in_alg,
     in_matrix_span,
-    matrix_span_basis,
 )
 from .matrices import Matrix, kernel_basis
 from .nests import Nest, ordinal_sum
@@ -113,17 +112,17 @@ def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
 def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
     """Radical of the algebra via the trace form: {T : trace(T S) = 0 for all S}.
 
-    The radical lies in this trace-form kernel in every characteristic (for
-    T in the radical every T S is nilpotent, so its trace is 0); only their
-    equality needs characteristic zero, so this route is restricted to QQ.
+    The radical lies in this trace-form kernel T in every characteristic (for
+    x in the radical every x S is nilpotent, so its trace is 0), and the
+    nilpotent ideal J lies in the radical.  On a nest algebra the trace form
+    is nondegenerate on the diagonal blocks M_d(F) in every characteristic
+    (tr(E_ij E_ji) = 1), so T = J, which proves rad = J over any field.
     """
-    if not nest.field.is_rationals:
-        raise ValueError("the trace-form radical is only valid over the rationals")
     return _trace_form_radical(alg_basis(nest))
 
 
 def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
-    """radical_basis_oracle for the algebra's already-built basis (over QQ).
+    """radical_basis_oracle for the algebra's already-built basis.
 
     Both products run on the algebra's own basis matrices, never on J's.
     """
@@ -133,8 +132,11 @@ def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
     # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
     columns = tuple(zip(*(b.transpose().vectorize() for b in alg.basis)))
     gram = stacked @ Matrix._of(f, columns, alg.dim)
-    mats = _operators(f, (kernel_basis(gram) @ stacked).entries, (n, n))
-    return AlgebraBasis(alg.nest, RADICAL, matrix_span_basis(mats, f, (n, n)))
+    # The kernel coordinates and the stacked algebra basis are both in RREF,
+    # and the latter's pivot columns are unit columns, so their product is
+    # already the canonical basis of the span.
+    rows = (kernel_basis(gram) @ stacked).entries
+    return AlgebraBasis(alg.nest, RADICAL, _operators(f, rows, (n, n)))
 
 
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:
@@ -163,7 +165,6 @@ class RadicalReport:
     radical_basis: AlgebraBasis
     equal: bool
     nilpotency_index: int
-    oracle_used: bool
     alg_dim: int
     semisimple_quotient_dim: int
     quotient_check: bool
@@ -172,11 +173,9 @@ class RadicalReport:
 def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport:
     """Compute the ideal, the radical, and the structural cross-checks.
 
-    Over QQ the radical comes from the independent trace-form oracle and
-    `equal` compares the two spans.  Over GF(p) the trace form is unsound,
-    so the ideal itself is reported: it is nilpotent (certified by the
-    computed index) hence inside the radical, and the radical always lies
-    inside it, so equality holds structurally.
+    The radical comes from the independent trace-form oracle on every field,
+    and `equal` compares the two spans: the trace form is nondegenerate on
+    the diagonal blocks in any characteristic, so T = J proves rad = J.
 
     A caller that has already built `alg_basis(nest)` passes it as `alg`.
     The report keeps only its dimension: callers hold many reports.
@@ -187,23 +186,15 @@ def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport
     if alg is None:
         alg = alg_basis(nest)
     index = _nilpotency_index_of(nest, strict.basis)
-    if nest.field.is_rationals:
-        rad = _trace_form_radical(alg)
-        equal = rad.basis == strict.basis  # both canonical, so equal iff same span
-        oracle_used = True
-    else:
-        rad = AlgebraBasis(nest, RADICAL, strict.basis)
-        equal = True
-        oracle_used = False
+    rad = _trace_form_radical(alg)
     quotient = alg.dim - strict.dim
     expected = sum(d * d for d in nest.atoms)
     return RadicalReport(
         nest=nest,
         strict_basis=strict,
         radical_basis=rad,
-        equal=equal,
+        equal=rad.basis == strict.basis,  # both canonical, so equal iff same span
         nilpotency_index=index,
-        oracle_used=oracle_used,
         alg_dim=alg.dim,
         semisimple_quotient_dim=quotient,
         quotient_check=quotient == expected,
@@ -227,18 +218,16 @@ class OrdinalSumReport:
     alg_direct: bool
     strict_predicted: bool
     strict_direct: bool
-    radical_predicted: bool | None
-    radical_direct: bool | None
+    radical_predicted: bool
+    radical_direct: bool
 
     @property
     def consistent(self) -> bool:
-        checks = [
-            self.alg_predicted == self.alg_direct,
-            self.strict_predicted == self.strict_direct,
-        ]
-        if self.radical_predicted is not None:
-            checks.append(self.radical_predicted == self.radical_direct)
-        return all(checks)
+        return (
+            self.alg_predicted == self.alg_direct
+            and self.strict_predicted == self.strict_direct
+            and self.radical_predicted == self.radical_direct
+        )
 
 
 def ordsum_analyze(first: Nest, second: Nest, t: Matrix) -> OrdinalSumReport:
@@ -253,15 +242,9 @@ def ordsum_analyze(first: Nest, second: Nest, t: Matrix) -> OrdinalSumReport:
     c_zero = c.is_zero()
     alg_pred = c_zero and in_alg(first, a1) and in_alg(second, a2)
     strict_pred = c_zero and in_strict_ideal(first, a1) and in_strict_ideal(second, a2)
-    if t.field.is_rationals:
-        rad1 = radical_basis_oracle(first).basis
-        rad2 = radical_basis_oracle(second).basis
-        rad_sum = radical_basis_oracle(summed).basis
-        rad_pred = c_zero and in_matrix_span(rad1, a1) and in_matrix_span(rad2, a2)
-        rad_direct = in_matrix_span(rad_sum, t)
-    else:
-        rad_pred = None
-        rad_direct = None
+    rad1 = radical_basis_oracle(first).basis
+    rad2 = radical_basis_oracle(second).basis
+    rad_pred = c_zero and in_matrix_span(rad1, a1) and in_matrix_span(rad2, a2)
     return OrdinalSumReport(
         first=first,
         second=second,
@@ -272,6 +255,6 @@ def ordsum_analyze(first: Nest, second: Nest, t: Matrix) -> OrdinalSumReport:
         strict_predicted=strict_pred,
         strict_direct=in_strict_ideal(summed, t),
         radical_predicted=rad_pred,
-        radical_direct=rad_direct,
+        radical_direct=in_matrix_span(radical_basis_oracle(summed).basis, t),
     )
 

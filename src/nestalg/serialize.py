@@ -168,7 +168,6 @@ def radical_report_to_json(r: RadicalReport) -> dict:
         "radical_dim": r.radical_basis.dim,
         "equal": r.equal,
         "nilpotency_index": r.nilpotency_index,
-        "oracle_used": r.oracle_used,
         "semisimple_quotient_dim": r.semisimple_quotient_dim,
         "quotient_check": r.quotient_check,
         "strict_basis": [matrix_to_json(m) for m in r.strict_basis.basis],
@@ -178,7 +177,7 @@ def radical_report_to_json(r: RadicalReport) -> dict:
 
 def ordsum_report_to_json(r: OrdinalSumReport) -> dict:
     a1, b, c, a2 = r.blocks
-    doc = {
+    return {
         "blocks": {
             "a1": matrix_to_json(a1),
             "b": matrix_to_json(b),
@@ -188,10 +187,8 @@ def ordsum_report_to_json(r: OrdinalSumReport) -> dict:
         "alg": {"predicted": r.alg_predicted, "direct": r.alg_direct},
         "strict": {"predicted": r.strict_predicted, "direct": r.strict_direct},
         "consistent": r.consistent,
+        "radical": {"predicted": r.radical_predicted, "direct": r.radical_direct},
     }
-    if r.radical_predicted is not None:
-        doc["radical"] = {"predicted": r.radical_predicted, "direct": r.radical_direct}
-    return doc
 
 
 def support_set_to_json(s: SupportSet):

@@ -375,12 +375,12 @@ def check_ordinal_sum(ck: _Check, first, second, summed, ce) -> None:
 
 
 def check_ordsum_analysis(ck: _Check, rep, ce) -> None:
-    """Block rules against direct membership (`ordsum_analyze`).  The radical
-    rule exists over QQ only; elsewhere it is not recorded."""
+    """Block rules against direct membership (`ordsum_analyze`) for the
+    algebra, the strictly-shifting ideal and the trace-form radical, on
+    every field."""
     ck.record("alg-rule-matches", rep.alg_predicted == rep.alg_direct, ce)
     ck.record("strict-rule-matches", rep.strict_predicted == rep.strict_direct, ce)
-    if rep.radical_predicted is not None:
-        ck.record("radical-rule-matches", rep.radical_predicted == rep.radical_direct, ce)
+    ck.record("radical-rule-matches", rep.radical_predicted == rep.radical_direct, ce)
 
 
 def c00_suite() -> list[dict]:

@@ -157,7 +157,6 @@ def test_criterion_04_radical_equality():
             atoms = nest.atoms
             k = len(atoms)
             assert rep.equal
-            assert rep.oracle_used
             assert rep.strict_basis.dim == sum(
                 atoms[i] * atoms[j] for i in range(k) for j in range(i + 1, k)
             )

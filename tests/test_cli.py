@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nestalg import cli, verify
+from nestalg import cli, radical, verify
 from nestalg.algebra import idempotent_onto, rank_decompose
-from nestalg.fields import QQ
+from nestalg.fields import GF2, QQ
 from nestalg.matrices import Matrix
 from nestalg.nests import ordinal_sum
 from nestalg.radical import ordsum_analyze
@@ -172,9 +172,10 @@ def test_radical_over_gf2(tmp_path):
     proc = run_cli("radical", "--input", write(tmp_path, "nest.json", doc))
     assert proc.returncode == 0
     report = load_report(proc)
-    assert report["results"]["report"]["oracle_used"] is False
     assert report["results"]["report"]["equal"] is True
-    assert all(v["pass"] for v in report["verdicts"])
+    verdicts = {v["property"]: v["pass"] for v in report["verdicts"]}
+    assert verdicts["radical-matches-ideal"] is True
+    assert all(verdicts.values())
 
 
 def test_radical_over_q_with_witnesses(tmp_path):
@@ -185,7 +186,6 @@ def test_radical_over_q_with_witnesses(tmp_path):
     )
     assert proc.returncode == 0
     report = load_report(proc)
-    assert report["results"]["report"]["oracle_used"] is True
     assert report["results"]["report"]["alg_dim"] == 6
     assert report["results"]["exclusion_witnesses"]
     for w in report["results"]["exclusion_witnesses"]:
@@ -282,6 +282,23 @@ def test_ordsum(tmp_path):
     report = load_report(proc)
     assert report["results"]["atoms"] == [1, 1, 1, 1]
     assert all(v["pass"] for v in report["verdicts"])
+
+
+GF2_LINE = {"field": {"p": 2}, "dim": 2, "chain": [[["1", "0"]]]}
+GF2_OP = [["0", "1", "0", "1"], ["0", "0", "1", "0"], ["0", "0", "0", "1"], ["0", "0", "0", "0"]]
+
+
+def test_ordsum_over_gf2_checks_the_radical_rule(tmp_path):
+    code, report = run_main(
+        "ordsum",
+        "--input", write(tmp_path, "pair.json", {"first": GF2_LINE, "second": GF2_LINE}),
+        "--matrix", write(tmp_path, "op.json", {"matrix": GF2_OP}),
+    )
+    assert code == 0
+    assert report["results"]["analysis"]["radical"] == {"predicted": True, "direct": True}
+    verdicts = {v["property"]: v["pass"] for v in report["verdicts"]}
+    assert verdicts["radical-rule-matches"] is True
+    assert all(verdicts.values())
 
 
 def test_ordsum_rejects_array_matrix(tmp_path):
@@ -393,6 +410,25 @@ def test_failing_verdict_carries_witness(tmp_path, monkeypatch):
         assert v["witness"]["nest"]["dim"] == 3
 
 
+def test_gf2_radical_verdict_is_computed(tmp_path, monkeypatch):
+    real = radical._trace_form_radical
+
+    def dropping(alg):
+        rad = real(alg)
+        return type(rad)(rad.nest, rad.kind, rad.basis[1:])
+
+    monkeypatch.setattr(radical, "_trace_form_radical", dropping)
+    doc = {"field": {"p": 2}, "dim": 3, "chain": [[["1", "0", "0"]]]}
+    nest, _ = nest_from_json(doc)
+    assert radical.radical_report(nest).equal is False
+    code, report = run_main("radical", "--input", write(tmp_path, "nest.json", doc))
+    assert code == 1
+    failing = [v for v in report["verdicts"] if not v["pass"]]
+    assert [v["property"] for v in failing] == ["radical-matches-ideal"]
+    assert failing[0]["witness"]["field"] == {"p": 2}
+    assert failing[0]["witness"]["dim"] == 3
+
+
 def checker_names(check, *objects):
     ck = verify._Check()
     check(ck, *objects, None)
@@ -419,16 +455,18 @@ def test_cli_property_names_are_the_suites(tmp_path):
     assert [v["property"] for v in report["verdicts"]] == checker_names(
         verify.check_dual, nest, nest.dual())
 
-    line = {"field": "Q", "dim": 2, "chain": [[["1", "0"]]]}
-    first, _ = nest_from_json(line)
-    op = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "1"], ["0", "0", "0", "1"]]
-    _, report = run_main("ordsum",
-                         "--input", write(tmp_path, "pair.json", {"first": line, "second": line}),
-                         "--matrix", write(tmp_path, "op4.json", {"matrix": op}))
-    rep = ordsum_analyze(first, first, Matrix(QQ, op))
-    names = (checker_names(verify.check_ordinal_sum, first, first, ordinal_sum(first, first))
-             + checker_names(verify.check_ordsum_analysis, rep))
-    assert [v["property"] for v in report["verdicts"]] == names
+    q_line = {"field": "Q", "dim": 2, "chain": [[["1", "0"]]]}
+    q_op = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "1"], ["0", "0", "0", "1"]]
+    for field, line, op in ((QQ, q_line, q_op), (GF2, GF2_LINE, GF2_OP)):
+        first, _ = nest_from_json(line)
+        pair = {"first": line, "second": line}
+        _, report = run_main("ordsum", "--input", write(tmp_path, "pair.json", pair),
+                             "--matrix", write(tmp_path, "op4.json", {"matrix": op}))
+        rep = ordsum_analyze(first, first, Matrix(field, op))
+        names = (checker_names(verify.check_ordinal_sum, first, first, ordinal_sum(first, first))
+                 + checker_names(verify.check_ordsum_analysis, rep))
+        assert [v["property"] for v in report["verdicts"]] == names
+        assert "radical-rule-matches" in names
 
     suites = {v["property"] for name in ("decompose", "dual", "ordsum")
               for v in verify.run_suite(name, seed=1, cases=2, max_dim=3)}

@@ -7,9 +7,9 @@ import pytest
 
 from nestalg import algebra, radical
 from nestalg.algebra import alg_basis, in_alg, matrix_span_basis, rank_one, spans_equal
-from nestalg.fields import GF2, GF3, QQ
+from nestalg.fields import GF, GF2, GF3, QQ
 from nestalg.matrices import Matrix, kernel_basis, try_invert
-from nestalg.nests import coordinate_nest, flag_nest, ordinal_sum, trivial_nest
+from nestalg.nests import coordinate_nest, flag_nest, iter_nests, ordinal_sum, trivial_nest
 from nestalg.radical import (
     ideal_nilpotency_index,
     in_strict_ideal,
@@ -210,7 +210,7 @@ def test_exclusion_witness_rejects_strict_members():
 def test_radical_report_frozen():
     rep = radical_report(flag_nest(QQ, 3))
     assert (rep.alg_dim, rep.strict_basis.dim, rep.radical_basis.dim) == (6, 3, 3)
-    assert rep.equal and rep.oracle_used and rep.quotient_check
+    assert rep.equal and rep.quotient_check
     assert rep.nilpotency_index == 3
     assert rep.semisimple_quotient_dim == 3
 
@@ -251,12 +251,31 @@ def test_radical_report_builds_each_basis_once(monkeypatch):
             radical_report(trivial_nest(nest.field, nest.ambient_dim), alg)
 
 
-def test_radical_report_finite_field_is_structural():
-    rep = radical_report(coordinate_nest(GF2, (1, 2)))
-    assert rep.equal
-    assert not rep.oracle_used
-    assert rep.radical_basis.dim == 2
-    assert rep.quotient_check
+def test_radical_report_finite_field_trace_form_is_ideal():
+    # rad <= T (trace-form kernel) and J <= rad in every characteristic, so
+    # the computed T = J certifies rad = J over GF(p) too.  Every chain of
+    # GF(2)^n, n <= 3, and of GF(3)^2, plus random nests with p <= n.
+    corpus = [nest for n in range(1, 4) for nest in iter_nests(GF2, n)]
+    corpus += list(iter_nests(GF3, 2))
+    rng = random.Random(61)
+    for p in (5, 7):
+        corpus += [random_nest(GF(p), n, rng) for n in (p, p, p + 1, p + 1)]
+    for nest in corpus:
+        rep = radical_report(nest)
+        assert rep.equal and rep.quotient_check
+        assert rep.radical_basis.basis == rep.strict_basis.basis
+
+
+def test_trace_form_radical_is_canonical():
+    # kernel coordinates (RREF) times the stacked algebra basis (RREF) is
+    # already the canonical basis of the span
+    rng = random.Random(62)
+    for field in (QQ, GF2, GF3):
+        for _ in range(8):
+            alg = alg_basis(random_nest(field, rng.randint(1, 5), rng))
+            rad = radical._trace_form_radical(alg)
+            n = alg.nest.ambient_dim
+            assert rad.basis == matrix_span_basis(rad.basis, field, (n, n))
 
 
 def test_radical_report_random_agreement():
