@@ -9,7 +9,6 @@ from .algebra import (
     idempotent_onto,
     in_alg,
     in_alg_witness,
-    in_matrix_span,
     invariant_lattice,
     matrix_span_basis,
     range_of,
@@ -17,7 +16,6 @@ from .algebra import (
     rank_one,
     rank_one_in_alg,
     reflexivity_witness,
-    spans_equal,
     strict_approximant,
     transporter,
 )

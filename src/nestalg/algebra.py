@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field
 from .matrices import Matrix, Vector, coerce_vector, dot, is_zero_vector, kernel_basis, outer, rref
@@ -34,6 +35,17 @@ class AlgebraBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def span(self) -> Subspace:
+        """The span in F^(n^2) of the vectorized basis, built on first use from
+        the rows as they are: they are already in RREF, with unit pivot columns."""
+        f, size = self.nest.field, self.nest.ambient_dim ** 2
+        return Subspace(f, size, Matrix._of(f, tuple(b.vectorize() for b in self.basis), size))
+
+    def contains(self, t: Matrix) -> bool:
+        """Is t in the span: is its residual against `span` zero?"""
+        return is_zero_vector(self.span.reduce(t.vectorize()))
 
 
 class MembershipError(ValueError):
@@ -330,14 +342,3 @@ def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matri
     red = rref(Matrix._of(field, tuple(stacked), shape[0] * shape[1]))
     return _operators(field, red.matrix.entries[: red.rank], shape)
 
-
-def in_matrix_span(mats, t: Matrix) -> bool:
-    """Is t a linear combination of the given operators?"""
-    basis = matrix_span_basis(mats, t.field, (t.rows, t.cols))
-    size = t.rows * t.cols
-    rows = tuple(b.vectorize() for b in basis)
-    return Subspace(t.field, size, Matrix._of(t.field, rows, size)).contains(t.vectorize())
-
-
-def spans_equal(a, b, field: Field, shape: tuple[int, int]) -> bool:
-    return matrix_span_basis(a, field, shape) == matrix_span_basis(b, field, shape)

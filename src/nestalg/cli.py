@@ -29,9 +29,7 @@ from .algebra import (
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
-    in_alg,
     invariant_lattice,
-    matrix_span_basis,
     rank_decompose,
     rank_one_in_alg,
     reflexivity_witness,
@@ -136,22 +134,12 @@ def cmd_alg_basis(args, docs, inputs):
     nest, _ = _nest_arg(docs)
     alg = alg_basis(nest)
     strict = strict_ideal_basis(nest)
-    atoms = nest.atoms
-    strict_dim = sum(a * b for i, a in enumerate(atoms) for b in atoms[i + 1 :])
-    n = nest.ambient_dim
-    products = [a @ b for a in alg.basis for b in alg.basis]
-    closed = len(matrix_span_basis(list(alg.basis) + products, nest.field, (n, n))) == alg.dim
     results = {
         "algebra": algebra_basis_to_json(alg),
         "strict_ideal": algebra_basis_to_json(strict),
     }
-    ce = nest_to_json(nest)
     ck = verify._Check()
-    ck.record("algebra-dimension", alg.dim == strict_dim + sum(a * a for a in atoms), ce)
-    ck.record("strict-ideal-dimension", strict.dim == strict_dim, ce)
-    ck.record("basis-members-in-algebra", all(in_alg(nest, b) for b in alg.basis), ce)
-    ck.record("strict-members-shift", all(in_strict_ideal(nest, b) for b in strict.basis), ce)
-    ck.record("closed-under-product", closed, ce)
+    verify.check_alg_basis(ck, nest, alg, strict, nest_to_json(nest))
     return results, ck.verdicts()
 
 
@@ -325,7 +313,7 @@ def cmd_ordsum(args, docs, inputs):
     verify.check_ordinal_sum(ck, first, second, summed, ce)
     if docs.get("matrix") is not None:
         t = _matrix_arg(docs, summed)
-        rep = ordsum_analyze(first, second, t)
+        [rep] = ordsum_analyze(first, second, [t])
         results["analysis"] = ordsum_report_to_json(rep)
         verify.check_ordsum_analysis(ck, rep, {**ce, "t": matrix_to_json(t)})
     return results, ck.verdicts()

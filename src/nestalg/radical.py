@@ -23,7 +23,6 @@ from .algebra import (
     _violation,
     alg_basis,
     in_alg,
-    in_matrix_span,
 )
 from .matrices import Matrix, kernel_basis
 from .nests import Nest, ordinal_sum
@@ -128,7 +127,7 @@ def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
     """
     f = alg.nest.field
     n = alg.nest.ambient_dim
-    stacked = Matrix._of(f, tuple(b.vectorize() for b in alg.basis), n * n)
+    stacked = alg.span.basis
     # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
     columns = tuple(zip(*(b.transpose().vectorize() for b in alg.basis)))
     gram = stacked @ Matrix._of(f, columns, alg.dim)
@@ -230,31 +229,30 @@ class OrdinalSumReport:
         )
 
 
-def ordsum_analyze(first: Nest, second: Nest, t: Matrix) -> OrdinalSumReport:
-    """Check the block characterizations of membership for a stacked nest."""
+def ordsum_analyze(first: Nest, second: Nest, ops) -> list[OrdinalSumReport]:
+    """Check the block characterizations of membership for a stacked nest,
+    one report per operator.  Every operator is validated before the
+    trace-form radicals of first, second and the sum are built, once for all."""
     summed = ordinal_sum(first, second)
-    _check_operator(summed, t)
-    n1 = first.ambient_dim
-    a1 = Matrix(t.field, tuple(row[:n1] for row in t.entries[:n1]))
-    b = Matrix(t.field, tuple(row[n1:] for row in t.entries[:n1]))
-    c = Matrix(t.field, tuple(row[:n1] for row in t.entries[n1:]))
-    a2 = Matrix(t.field, tuple(row[n1:] for row in t.entries[n1:]))
-    c_zero = c.is_zero()
-    alg_pred = c_zero and in_alg(first, a1) and in_alg(second, a2)
-    strict_pred = c_zero and in_strict_ideal(first, a1) and in_strict_ideal(second, a2)
-    rad1 = radical_basis_oracle(first).basis
-    rad2 = radical_basis_oracle(second).basis
-    rad_pred = c_zero and in_matrix_span(rad1, a1) and in_matrix_span(rad2, a2)
-    return OrdinalSumReport(
-        first=first,
-        second=second,
-        sum_nest=summed,
-        blocks=(a1, b, c, a2),
-        alg_predicted=alg_pred,
-        alg_direct=in_alg(summed, t),
-        strict_predicted=strict_pred,
-        strict_direct=in_strict_ideal(summed, t),
-        radical_predicted=rad_pred,
-        radical_direct=in_matrix_span(radical_basis_oracle(summed).basis, t),
-    )
+    for t in ops:
+        _check_operator(summed, t)
+    rad1, rad2, rad = map(radical_basis_oracle, (first, second, summed))
+    sides = (slice(None, first.ambient_dim), slice(first.ambient_dim, None))
 
+    def report(t: Matrix) -> OrdinalSumReport:
+        a1, b, c, a2 = (Matrix(t.field, [r[j] for r in t.entries[i]]) for i in sides for j in sides)
+        c_zero = c.is_zero()
+        return OrdinalSumReport(
+            first=first,
+            second=second,
+            sum_nest=summed,
+            blocks=(a1, b, c, a2),
+            alg_predicted=c_zero and in_alg(first, a1) and in_alg(second, a2),
+            alg_direct=in_alg(summed, t),
+            strict_predicted=c_zero and in_strict_ideal(first, a1) and in_strict_ideal(second, a2),
+            strict_direct=in_strict_ideal(summed, t),
+            radical_predicted=c_zero and rad1.contains(a1) and rad2.contains(a2),
+            radical_direct=rad.contains(t),
+        )
+
+    return [report(t) for t in ops]

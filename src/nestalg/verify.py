@@ -151,6 +151,26 @@ def check_reflexivity_lattice(ck: _Check, nest, lat_alg, lat_ones, ce) -> None:
     ck.record("chain-recovered-from-rank-ones", lat_ones == chain, ce)
 
 
+def _strict_dim(atoms) -> int:
+    """Dimension of the strictly-shifting ideal: the sum of a_i a_j over i < j."""
+    return sum(a * b for i, a in enumerate(atoms) for b in atoms[i + 1 :])
+
+
+def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
+    """The bases of the algebra and of its strictly-shifting ideal
+    (`alg_basis`, `strict_ideal_basis`).  A basis not closed under products
+    is witnessed by the first pair (i, j) with alg.basis[i] @ alg.basis[j]
+    outside its span."""
+    atoms = nest.atoms
+    ck.record("algebra-dimension", alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms), ce)
+    ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
+    ck.record("basis-members-in-algebra", all(in_alg(nest, b) for b in alg.basis), ce)
+    ck.record("strict-members-shift", all(in_strict_ideal(nest, b) for b in strict.basis), ce)
+    pairs = itertools.product(enumerate(alg.basis), repeat=2)
+    escape = next(([i, j] for (i, a), (j, b) in pairs if not alg.contains(a @ b)), None)
+    ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
+
+
 def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[dict]:
     """Random idempotents, rank decompositions, and strict approximants."""
     rng = random.Random(seed)
@@ -261,24 +281,28 @@ def radical_suite(seed: int = 0, cases: int = 50, max_dim: int = 8) -> list[dict
         )
         ck.record("quasi-inverse-in-algebra", in_alg(nest, s), ce)
         idx = nilpotency_index(nest, a @ t)
-        ck.record(
-            "series-length-at-most-atoms",
-            idx is not None and idx <= len(nest.atoms),
-            ce,
-        )
+        ck.record("series-length-at-most-atoms", idx is not None and idx <= len(nest.atoms), ce)
     return ck.verdicts()
 
 
 def check_radical_report(ck: _Check, rep, ce) -> None:
-    """The structural cross-checks of a `radical_report`."""
+    """The structural cross-checks of a `radical_report`.  A radical T that
+    differs from the ideal J is witnessed by the first basis operator of J
+    outside T, or else of T outside J."""
     atoms = rep.nest.atoms
-    ck.record("radical-matches-ideal", rep.equal, ce)
-    ck.record("quotient-dimension", rep.quotient_check, ce)
-    ck.record(
-        "ideal-dimension",
-        rep.strict_basis.dim == sum(a * b for i, a in enumerate(atoms) for b in atoms[i + 1 :]),
+    j, t = rep.strict_basis, rep.radical_basis
+    witness = ce if rep.equal else next(
+        (
+            {"nest": ce, "operator": matrix_to_json(b), "missing_from": missing}
+            for basis, other, missing in ((j, t, "radical"), (t, j, "ideal"))
+            for b in basis.basis
+            if not other.contains(b)
+        ),
         ce,
     )
+    ck.record("radical-matches-ideal", rep.equal, witness)
+    ck.record("quotient-dimension", rep.quotient_check, ce)
+    ck.record("ideal-dimension", rep.strict_basis.dim == _strict_dim(atoms), ce)
     ck.record("index-at-most-atoms", rep.nilpotency_index <= len(atoms), ce)
 
 
@@ -348,30 +372,20 @@ def ordsum_suite(seed: int = 0, cases: int = 20) -> list[dict]:
         summed = ordinal_sum(first, second)
         ce = {"first": nest_to_json(first), "second": nest_to_json(second)}
         check_ordinal_sum(ck, first, second, summed, ce)
-        for style in ("random", "block", "strict"):
-            if style == "random":
-                t = random_matrix(QQ, n, n, rng)
-            elif style == "block":
-                t = random_span_element(alg_basis(summed), rng)
-            else:
-                t = random_span_element(strict_ideal_basis(summed), rng)
-            rep = ordsum_analyze(first, second, t)
+        ops = [
+            random_matrix(QQ, n, n, rng),
+            random_span_element(alg_basis(summed), rng),
+            random_span_element(strict_ideal_basis(summed), rng),
+        ]
+        for t, rep in zip(ops, ordsum_analyze(first, second, ops)):
             check_ordsum_analysis(ck, rep, {**ce, "t": matrix_to_json(t)})
     return ck.verdicts()
 
 
 def check_ordinal_sum(ck: _Check, first, second, summed, ce) -> None:
     """The stacked nest `ordinal_sum(first, second)`."""
-    ck.record(
-        "sum-member-count",
-        len(summed.chain) == len(first.chain) + len(second.chain) - 1,
-        ce,
-    )
-    ck.record(
-        "sum-atoms-concatenate",
-        summed.atoms == first.atoms + second.atoms,
-        ce,
-    )
+    ck.record("sum-member-count", len(summed.chain) == len(first.chain) + len(second.chain) - 1, ce)
+    ck.record("sum-atoms-concatenate", summed.atoms == first.atoms + second.atoms, ce)
 
 
 def check_ordsum_analysis(ck: _Check, rep, ce) -> None:

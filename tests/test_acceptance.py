@@ -315,22 +315,23 @@ def test_criterion_09_ordinal_sums():
                     else Matrix.zeros(QQ, n2, n2),
                 ),
             ]
-            for t in samples:
-                rep = ordsum_analyze(first, second, t)
+            for rep in ordsum_analyze(first, second, samples):
                 assert rep.alg_predicted == rep.alg_direct
                 assert rep.strict_predicted == rep.strict_direct
                 assert rep.radical_predicted == rep.radical_direct
         # the canonical pair really exercises the positive branch
-        flag_pair = ordsum_analyze(
+        [flag_pair] = ordsum_analyze(
             flag_nest(QQ, 2),
             flag_nest(QQ, 2),
-            _stack_blocks(
-                QQ,
-                Matrix.identity(QQ, 2),
-                Matrix.zeros(QQ, 2, 2),
-                Matrix.zeros(QQ, 2, 2),
-                Matrix.identity(QQ, 2),
-            ),
+            [
+                _stack_blocks(
+                    QQ,
+                    Matrix.identity(QQ, 2),
+                    Matrix.zeros(QQ, 2, 2),
+                    Matrix.zeros(QQ, 2, 2),
+                    Matrix.identity(QQ, 2),
+                )
+            ],
         )
         assert flag_pair.alg_predicted and flag_pair.alg_direct
 

@@ -9,6 +9,7 @@ import pytest
 from nestalg.algebra import (
     FULL,
     STRICT,
+    AlgebraBasis,
     MembershipError,
     _constraint_rows,
     _pairs,
@@ -17,7 +18,6 @@ from nestalg.algebra import (
     idempotent_onto,
     in_alg,
     in_alg_witness,
-    in_matrix_span,
     invariant_lattice,
     matrix_span_basis,
     range_of,
@@ -25,12 +25,11 @@ from nestalg.algebra import (
     rank_one,
     rank_one_in_alg,
     reflexivity_witness,
-    spans_equal,
     strict_approximant,
     transporter,
 )
 from nestalg.fields import GF2, GF3, QQ
-from nestalg.matrices import Matrix, kernel_basis
+from nestalg.matrices import Matrix, is_zero_vector, kernel_basis
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, new_nest, trivial_nest
 from nestalg.sampling import (
     random_matrix,
@@ -63,7 +62,7 @@ def test_alg_contains_identity_and_is_closed():
             nest = random_nest(field, rng.randint(1, 4), rng)
             basis = alg_basis(nest)
             ident = Matrix.identity(field, nest.ambient_dim)
-            assert in_matrix_span(basis.basis, ident)
+            assert basis.contains(ident)
             a = random_span_element(basis, rng)
             b = random_span_element(basis, rng)
             assert in_alg(nest, a @ b)
@@ -377,8 +376,21 @@ def test_matrix_span_helpers():
     e12 = qmat([[0, 1], [0, 0]])
     basis = matrix_span_basis([e11, e12, e11 + e12], QQ, (2, 2))
     assert len(basis) == 2
-    assert in_matrix_span(basis, e11 + e12.scale(Q(7)))
-    assert not in_matrix_span(basis, Matrix.identity(QQ, 2))
-    assert spans_equal([e11, e12], [e11 + e12, e12], QQ, (2, 2))
-    assert not spans_equal([e11], [e12], QQ, (2, 2))
     assert matrix_span_basis([], QQ, (2, 2)) == ()
+    # AlgebraBasis.span: membership by a zero residual against the canonical rows
+    for field in (QQ, GF2):
+        nest = flag_nest(field, 2)
+        e11, e12, e21 = (Matrix(field, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                                                    [[0, 0], [1, 0]]))
+        ident = Matrix.identity(field, 2)
+        alg = alg_basis(nest)
+        strict = AlgebraBasis(nest, STRICT, (e12,))
+        assert alg.span.basis.entries == tuple(b.vectorize() for b in alg.basis)
+        for member in (e11 + e12.scale(3), ident):
+            assert is_zero_vector(alg.span.reduce(member.vectorize()))
+            assert alg.contains(member)
+        assert alg.span.reduce(e21.vectorize()) == (0, 0, 1, 0)
+        assert not alg.contains(e21)
+        assert strict.span.reduce(ident.vectorize()) == (1, 0, 0, 1)
+        assert strict.contains(e12.scale(3)) and not strict.contains(e11)
+        assert not AlgebraBasis(nest, STRICT, ()).contains(e12)

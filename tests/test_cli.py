@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nestalg import cli, radical, verify
-from nestalg.algebra import idempotent_onto, rank_decompose
+from nestalg.algebra import FULL, AlgebraBasis, alg_basis, idempotent_onto, rank_decompose
 from nestalg.fields import GF2, QQ
 from nestalg.matrices import Matrix
-from nestalg.nests import ordinal_sum
-from nestalg.radical import ordsum_analyze
-from nestalg.serialize import nest_from_json
+from nestalg.nests import flag_nest, ordinal_sum
+from nestalg.radical import ordsum_analyze, strict_ideal_basis
+from nestalg.serialize import matrix_to_json, nest_from_json
 from nestalg.subspaces import span_of
 
 FLAG3 = {
@@ -425,8 +425,12 @@ def test_gf2_radical_verdict_is_computed(tmp_path, monkeypatch):
     assert code == 1
     failing = [v for v in report["verdicts"] if not v["pass"]]
     assert [v["property"] for v in failing] == ["radical-matches-ideal"]
-    assert failing[0]["witness"]["field"] == {"p": 2}
-    assert failing[0]["witness"]["dim"] == 3
+    witness = failing[0]["witness"]
+    assert witness["nest"]["field"] == {"p": 2}
+    assert witness["nest"]["dim"] == 3
+    # the operator the tampered radical lost, named as missing from it
+    assert witness["operator"] == matrix_to_json(real(alg_basis(nest)).basis[0])
+    assert witness["missing_from"] == "radical"
 
 
 def checker_names(check, *objects):
@@ -455,6 +459,10 @@ def test_cli_property_names_are_the_suites(tmp_path):
     assert [v["property"] for v in report["verdicts"]] == checker_names(
         verify.check_dual, nest, nest.dual())
 
+    _, report = run_main("alg-basis", "--input", spec)
+    assert [v["property"] for v in report["verdicts"]] == checker_names(
+        verify.check_alg_basis, nest, alg_basis(nest), strict_ideal_basis(nest))
+
     q_line = {"field": "Q", "dim": 2, "chain": [[["1", "0"]]]}
     q_op = [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "1"], ["0", "0", "0", "1"]]
     for field, line, op in ((QQ, q_line, q_op), (GF2, GF2_LINE, GF2_OP)):
@@ -462,7 +470,7 @@ def test_cli_property_names_are_the_suites(tmp_path):
         pair = {"first": line, "second": line}
         _, report = run_main("ordsum", "--input", write(tmp_path, "pair.json", pair),
                              "--matrix", write(tmp_path, "op4.json", {"matrix": op}))
-        rep = ordsum_analyze(first, first, Matrix(field, op))
+        [rep] = ordsum_analyze(first, first, [Matrix(field, op)])
         names = (checker_names(verify.check_ordinal_sum, first, first, ordinal_sum(first, first))
                  + checker_names(verify.check_ordsum_analysis, rep))
         assert [v["property"] for v in report["verdicts"]] == names
@@ -471,6 +479,28 @@ def test_cli_property_names_are_the_suites(tmp_path):
     suites = {v["property"] for name in ("decompose", "dual", "ordsum")
               for v in verify.run_suite(name, seed=1, cases=2, max_dim=3)}
     assert set(names) <= suites
+
+
+def test_closed_under_product_is_computed():
+    # a tampered basis of the right dimension, not closed: E11 (E12 + E21) = E12
+    for field, n in ((QQ, 2), (GF2, 2), (GF2, 3)):
+        nest = flag_nest(field, n)
+        unit = {(i, j): Matrix(field, [[int((r, c) == (i, j)) for c in range(n)]
+                                       for r in range(n)]) for i in range(n) for j in range(n)}
+        good = alg_basis(nest)
+        tampered = AlgebraBasis(nest, FULL, tuple(
+            unit[0, 1] + unit[1, 0] if b == unit[0, 1] else b for b in good.basis))
+        assert tampered.dim == good.dim
+        ck = verify._Check()
+        verify.check_alg_basis(ck, nest, tampered, strict_ideal_basis(nest), None)
+        closed = next(v for v in ck.verdicts() if v["property"] == "closed-under-product")
+        assert not closed["pass"]
+        i, j = closed["witness"]["product"]
+        assert not tampered.contains(tampered.basis[i] @ tampered.basis[j])
+        assert (i, j) == (0, 1)
+        ck = verify._Check()
+        verify.check_alg_basis(ck, nest, good, strict_ideal_basis(nest), None)
+        assert all(v["pass"] for v in ck.verdicts())
 
 
 def test_verify_report_is_pinned():

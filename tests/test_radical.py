@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nestalg import algebra, radical
-from nestalg.algebra import alg_basis, in_alg, matrix_span_basis, rank_one, spans_equal
+from nestalg.algebra import alg_basis, in_alg, matrix_span_basis, rank_one
 from nestalg.fields import GF, GF2, GF3, QQ
 from nestalg.matrices import Matrix, kernel_basis, try_invert
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, ordinal_sum, trivial_nest
@@ -124,8 +124,7 @@ def test_radical_oracle_matches_scale_and_add():
         nest = random_nest(QQ, rng.randint(1, 5), rng)
         rad = radical_basis_oracle(nest).basis
         assert rad == _radical_by_scale_and_add(alg_basis(nest))
-        n = nest.ambient_dim
-        assert spans_equal(rad, strict_ideal_basis(nest).basis, QQ, (n, n))
+        assert rad == strict_ideal_basis(nest).basis  # both canonical
 
 
 def test_quasi_inverse_frozen():
@@ -168,7 +167,7 @@ def test_radical_oracle_matches_ideal():
     rad = radical_basis_oracle(nest)
     strict = strict_ideal_basis(nest)
     assert rad.dim == 3
-    assert spans_equal(rad.basis, strict.basis, QQ, (3, 3))
+    assert rad.basis == strict.basis  # both canonical
 
 
 def test_exclusion_witness_frozen():
@@ -293,7 +292,7 @@ def test_ordsum_block_rules():
     in_all = qmat(
         [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]
     )
-    rep = ordsum_analyze(first, second, in_all)
+    [rep] = ordsum_analyze(first, second, [in_all])
     assert rep.alg_predicted and rep.alg_direct
     assert not rep.strict_predicted
     assert rep.consistent
@@ -301,14 +300,14 @@ def test_ordsum_block_rules():
     lower_left = qmat(
         [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]
     )
-    rep = ordsum_analyze(first, second, lower_left)
+    [rep] = ordsum_analyze(first, second, [lower_left])
     assert not rep.alg_predicted and not rep.alg_direct
     assert rep.consistent
 
     strictly = qmat(
         [[0, 1, 5, 5], [0, 0, 5, 5], [0, 0, 0, 1], [0, 0, 0, 0]]
     )
-    rep = ordsum_analyze(first, second, strictly)
+    [rep] = ordsum_analyze(first, second, [strictly])
     assert rep.strict_predicted and rep.strict_direct
     assert rep.radical_predicted and rep.radical_direct
     assert rep.consistent
@@ -318,7 +317,7 @@ def test_ordsum_blocks_split_correctly():
     first = flag_nest(QQ, 2)
     second = flag_nest(QQ, 2)
     t = qmat([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]])
-    rep = ordsum_analyze(first, second, t)
+    [rep] = ordsum_analyze(first, second, [t])
     a1, b, c, a2 = rep.blocks
     assert a1 == qmat([[1, 2], [5, 6]])
     assert b == qmat([[3, 4], [7, 8]])
@@ -335,8 +334,28 @@ def test_ordsum_random_consistency():
             second = random_nest(field, rng.randint(1, 3), rng)
             n = first.ambient_dim + second.ambient_dim
             t = random_matrix(field, n, n, rng)
-            rep = ordsum_analyze(first, second, t)
+            [rep] = ordsum_analyze(first, second, [t])
             assert rep.consistent
             # membership in the summed algebra also via its own basis
             summed = ordinal_sum(first, second)
             assert rep.alg_direct == in_alg(summed, t)
+
+
+def test_ordsum_analyze_validates_every_operator_first(monkeypatch):
+    calls = []
+    real = radical.radical_basis_oracle
+
+    def counting(nest):
+        calls.append(nest)
+        return real(nest)
+
+    monkeypatch.setattr(radical, "radical_basis_oracle", counting)
+    first = flag_nest(QQ, 2)
+    good = Matrix.identity(QQ, 4)
+    for bad in (Matrix.identity(QQ, 3), Matrix.identity(GF2, 4)):
+        with pytest.raises(ValueError, match="operator"):
+            ordsum_analyze(first, first, [good, bad])
+    assert calls == []
+    reports = ordsum_analyze(first, first, [good, good, good])
+    assert len(reports) == 3 and len(calls) == 3  # the three radicals, once per pair
+    assert ordsum_analyze(first, first, []) == []

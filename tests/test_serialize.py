@@ -179,14 +179,14 @@ def test_radical_report_shape():
 
 def test_ordsum_report_shape():
     t = Matrix.identity(QQ, 4)
-    doc = ordsum_report_to_json(ordsum_analyze(flag_nest(QQ, 2), flag_nest(QQ, 2), t))
+    [rep] = ordsum_analyze(flag_nest(QQ, 2), flag_nest(QQ, 2), [t])
+    doc = ordsum_report_to_json(rep)
     assert set(doc["blocks"]) == {"a1", "b", "c", "a2"}
     assert doc["alg"] == {"predicted": True, "direct": True}
     assert doc["consistent"] is True
     assert doc["radical"] == {"predicted": False, "direct": False}
-    gf_doc = ordsum_report_to_json(
-        ordsum_analyze(flag_nest(GF2, 1), flag_nest(GF2, 1), Matrix.identity(GF2, 2))
-    )
+    [gf_rep] = ordsum_analyze(flag_nest(GF2, 1), flag_nest(GF2, 1), [Matrix.identity(GF2, 2)])
+    gf_doc = ordsum_report_to_json(gf_rep)
     assert gf_doc["radical"] == {"predicted": False, "direct": False}
     assert gf_doc["consistent"] is True
 
