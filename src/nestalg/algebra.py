@@ -274,12 +274,23 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     ops = matrix_span_basis(ops, field, (n, n))
     subspaces = enumerate_subspaces(field, n)
     rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
-    side_by_side = tuple(tuple([t.entries[i][j] for t in ops for i in range(n)]) for j in range(n))
-    products = Matrix._of(field, rows, n) @ Matrix._of(field, side_by_side, len(ops) * n)
-    images = {
-        v: {w[k : k + n] for k in range(0, len(w), n)} for v, w in zip(rows, products.entries)
-    }
+    products = Matrix._of(field, rows, n) @ _transposes_side_by_side(ops, field, n)
+    images = {v: set(_chunks(w, n)) for v, w in zip(rows, products.entries)}
     return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
+
+
+def _transposes_side_by_side(ops, field: Field, n: int) -> Matrix:
+    """The n x (len(ops) n) matrix [t_1^T | t_2^T | ...]: row v of
+    V @ this holds the images t_1 v, t_2 v, ... of row v of V in turn."""
+    return Matrix._of(
+        field, tuple(tuple([t.entries[i][j] for t in ops for i in range(n)]) for j in range(n)),
+        len(ops) * n,
+    )
+
+
+def _chunks(row: Vector, n: int) -> list[Vector]:
+    """The consecutive length-n pieces of row."""
+    return [row[k : k + n] for k in range(0, len(row), n)]
 
 
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:

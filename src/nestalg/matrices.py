@@ -293,20 +293,31 @@ def _rref_mod_p(m: Matrix) -> RrefResult:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of {v : m v = 0} as rows, in canonical reduced echelon form."""
-    f = m.field
-    red = rref(m)
-    pivots = red.pivots
-    free = [c for c in range(m.cols) if c not in pivots]
+    """Basis of {v : m v = 0} as rows, in canonical reduced echelon form.
+
+    One rref, of m with its columns reversed.  There the kernel vector of a
+    free column f has a 1 at f, -R[i][f] at the pivots left of f and zeros
+    at every other free column.  Reversed back, that 1 is its leading entry
+    and the free columns are unit columns, so the vectors, from the last
+    free column of the reversed matrix to the first, are already the unique
+    RREF of the kernel.
+    """
+    f, n = m.field, m.cols
+    red = rref(Matrix._of(f, tuple(row[::-1] for row in m.entries), n))
+    pivots, rows = red.pivots, red.matrix.entries
+    zero, one, neg = f.zero(), f.one(), f.neg
     vectors = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
+    for fc in reversed(range(n)):
+        if fc in pivots:
+            continue
+        v = [zero] * n
+        v[fc] = one
         for i, pc in enumerate(pivots):
-            v[pc] = f.neg(red.matrix.entries[i][fc])
-        vectors.append(tuple(v))
-    canon = rref(Matrix._of(f, tuple(vectors), m.cols))
-    return Matrix._of(f, canon.matrix.entries[: canon.rank], m.cols)
+            if pc > fc:
+                break
+            v[pc] = neg(rows[i][fc])
+        vectors.append(tuple(v[::-1]))
+    return Matrix._of(f, tuple(vectors), n)
 
 
 def solve(m: Matrix, b: Vector):

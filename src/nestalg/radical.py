@@ -16,10 +16,12 @@ from .algebra import (
     STRICT,
     AlgebraBasis,
     _check_operator,
+    _chunks,
     _constraint_kernel,
     _operators,
     _pairs,
     _require_member,
+    _transposes_side_by_side,
     _violation,
     alg_basis,
     in_alg,
@@ -72,13 +74,17 @@ def _nilpotency_index_of(nest: Nest, basis) -> int:
     V_0 = F^n and V_k = span{b v : b in basis, v in V_(k-1)} = J^k F^n, as
     J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.  The
     V_k only shrink, so V_k = V_(k-1) != 0, or V_n != 0, proves J not
-    nilpotent, and an AssertionError names the basis.
+    nilpotent, and an AssertionError names the basis.  Each step's images
+    are one product of V_(k-1)'s basis with the transposed basis operators
+    side by side.
     """
     f = nest.field
     n = nest.ambient_dim
+    transposes = _transposes_side_by_side(basis, f, n)
     space = full(f, n)
     for k in range(1, n + 1):
-        image = span_of([b.apply(v) for b in basis for v in space.basis.entries], f, n)
+        products = (space.basis @ transposes).entries
+        image = span_of([w for row in products for w in _chunks(row, n)], f, n)
         if image.dim == 0:
             return k
         if image == space:
@@ -229,14 +235,23 @@ class OrdinalSumReport:
         )
 
 
-def ordsum_analyze(first: Nest, second: Nest, ops) -> list[OrdinalSumReport]:
+def ordsum_analyze(
+    first: Nest, second: Nest, ops, alg: AlgebraBasis | None = None
+) -> list[OrdinalSumReport]:
     """Check the block characterizations of membership for a stacked nest,
     one report per operator.  Every operator is validated before the
-    trace-form radicals of first, second and the sum are built, once for all."""
+    trace-form radicals of first, second and the sum are built, once for all.
+
+    A caller that has already built the summed nest's `alg_basis` passes it
+    as `alg`, as for `radical_report`.
+    """
     summed = ordinal_sum(first, second)
+    if alg is not None and (alg.nest != summed or alg.kind != FULL):
+        raise ValueError("alg is not the algebra basis of the ordinal sum")
     for t in ops:
         _check_operator(summed, t)
-    rad1, rad2, rad = map(radical_basis_oracle, (first, second, summed))
+    rad1, rad2 = map(radical_basis_oracle, (first, second))
+    rad = radical_basis_oracle(summed) if alg is None else _trace_form_radical(alg)
     sides = (slice(None, first.ambient_dim), slice(first.ambient_dim, None))
 
     def report(t: Matrix) -> OrdinalSumReport:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, _operators
 from .fields import Field
 from .matrices import Matrix
 from .nests import Nest, new_nest
@@ -67,15 +67,14 @@ def random_nest(field: Field, n: int, rng: random.Random, members: int | None = 
 
 
 def random_span_element(basis: AlgebraBasis, rng: random.Random, nonzero: bool = False) -> Matrix:
-    """A random combination of the basis with small coefficients."""
-    nest = basis.nest
-    acc = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
+    """A random combination of the basis with small coefficients, drawn in
+    basis order and formed as one coefficient-row product with the
+    vectorized basis."""
+    f, n = basis.nest.field, basis.nest.ambient_dim
     while True:
-        for b in basis.basis:
-            c = random_scalar(nest.field, rng)
-            if c:
-                acc = acc + b.scale(c)
-        if not nonzero or not acc.is_zero():
-            return acc
+        coeffs = Matrix._of(f, (tuple(random_scalar(f, rng) for _ in basis.basis),), basis.dim)
+        [t] = _operators(f, (coeffs @ basis.span.basis).entries, (n, n))
+        if not nonzero or not t.is_zero():
+            return t
         if not basis.basis:
             raise ValueError("the zero space has no nonzero element")

@@ -83,7 +83,13 @@ class Subspace:
         return span_of(self.basis.entries + other.basis.entries, self.field, self.ambient_dim)
 
     def annihilator(self) -> Subspace:
-        """{phi in the dual : phi vanishes on this subspace}."""
+        """{phi in the dual : phi vanishes on this subspace}, computed on
+        first use.  The result is a fresh subspace that does not know its
+        own annihilator, so a double annihilator is always computed."""
+        return self._annihilator
+
+    @cached_property
+    def _annihilator(self) -> Subspace:
         return Subspace(self.field, self.ambient_dim, kernel_basis(self.basis))
 
     def _check_peer(self, other: Subspace) -> None:

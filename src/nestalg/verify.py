@@ -166,9 +166,25 @@ def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
     ck.record("basis-members-in-algebra", all(in_alg(nest, b) for b in alg.basis), ce)
     ck.record("strict-members-shift", all(in_strict_ideal(nest, b) for b in strict.basis), ce)
-    pairs = itertools.product(enumerate(alg.basis), repeat=2)
-    escape = next(([i, j] for (i, a), (j, b) in pairs if not alg.contains(a @ b)), None)
+    escape = _closure_escape(alg)
     ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
+
+
+def _closure_escape(alg) -> list[int] | None:
+    """The first pair [i, j], in row-major order, with alg.basis[i] @
+    alg.basis[j] outside the span of alg.basis, or None.  All products of
+    one left factor come from one product with the basis side by side."""
+    f, n = alg.nest.field, alg.nest.ambient_dim
+    side_by_side = Matrix._of(
+        f, tuple(tuple([x for b in alg.basis for x in b.entries[r]]) for r in range(n)), alg.dim * n
+    )
+    for i, a in enumerate(alg.basis):
+        rows = (a @ side_by_side).entries
+        for j in range(alg.dim):
+            product = Matrix._of(f, tuple(row[j * n : j * n + n] for row in rows), n)
+            if not alg.contains(product):
+                return [i, j]
+    return None
 
 
 def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[dict]:
@@ -372,12 +388,13 @@ def ordsum_suite(seed: int = 0, cases: int = 20) -> list[dict]:
         summed = ordinal_sum(first, second)
         ce = {"first": nest_to_json(first), "second": nest_to_json(second)}
         check_ordinal_sum(ck, first, second, summed, ce)
+        alg = alg_basis(summed)
         ops = [
             random_matrix(QQ, n, n, rng),
-            random_span_element(alg_basis(summed), rng),
+            random_span_element(alg, rng),
             random_span_element(strict_ideal_basis(summed), rng),
         ]
-        for t, rep in zip(ops, ordsum_analyze(first, second, ops)):
+        for t, rep in zip(ops, ordsum_analyze(first, second, ops, alg)):
             check_ordsum_analysis(ck, rep, {**ce, "t": matrix_to_json(t)})
     return ck.verdicts()
 

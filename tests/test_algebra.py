@@ -31,9 +31,11 @@ from nestalg.algebra import (
 from nestalg.fields import GF2, GF3, QQ
 from nestalg.matrices import Matrix, is_zero_vector, kernel_basis
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, new_nest, trivial_nest
+from nestalg.radical import strict_ideal_basis
 from nestalg.sampling import (
     random_matrix,
     random_nest,
+    random_scalar,
     random_span_element,
     random_subspace,
     random_vector,
@@ -66,6 +68,70 @@ def test_alg_contains_identity_and_is_closed():
             a = random_span_element(basis, rng)
             b = random_span_element(basis, rng)
             assert in_alg(nest, a @ b)
+
+
+def span_element_reference(basis, rng, nonzero=False):
+    """random_span_element as a loop of matrix sums, drawing one coefficient
+    per basis operator and attempt; the reference for the batched product."""
+    nest = basis.nest
+    acc = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
+    attempts = 0
+    while True:
+        attempts += 1
+        for b in basis.basis:
+            c = random_scalar(nest.field, rng)
+            if c:
+                acc = acc + b.scale(c)
+        if not nonzero or not acc.is_zero():
+            return acc, attempts
+        if not basis.basis:
+            raise ValueError("the zero space has no nonzero element")
+
+
+def test_random_span_element_matches_reference_loop():
+    rng = random.Random(47)
+    retried = set()
+    for field in (QQ, GF2):
+        for k in range(30):
+            nest = random_nest(field, rng.randint(1, 4), rng)
+            basis = alg_basis(nest) if k % 3 else strict_ideal_basis(nest)
+            for nonzero in (False, True):
+                seed = rng.random()
+                mine, ref = random.Random(seed), random.Random(seed)
+                if nonzero and not basis.basis:
+                    with pytest.raises(ValueError):
+                        random_span_element(basis, mine, nonzero=True)
+                    with pytest.raises(ValueError):
+                        span_element_reference(basis, ref, nonzero=True)
+                else:
+                    t = random_span_element(basis, mine, nonzero)
+                    want, attempts = span_element_reference(basis, ref, nonzero)
+                    assert t == want and (t.rows, t.cols) == (want.rows, want.cols)
+                    if attempts > 1:
+                        retried.add(field)
+                assert mine.getstate() == ref.getstate()
+    # a one-operator strict ideal, where a zero draw forces the nonzero retry
+    for field in (QQ, GF2):
+        basis = strict_ideal_basis(flag_nest(field, 2))
+        assert basis.dim == 1
+        for seed in range(20):
+            mine, ref = random.Random(seed), random.Random(seed)
+            t = random_span_element(basis, mine, nonzero=True)
+            want, attempts = span_element_reference(basis, ref, nonzero=True)
+            assert t == want and not t.is_zero()
+            assert mine.getstate() == ref.getstate()
+            if attempts > 1:
+                retried.add(field)
+    assert retried == {QQ, GF2}
+    # the zero space: the zero operator, or ValueError when nonzero is asked
+    empty = strict_ideal_basis(trivial_nest(QQ, 3))
+    assert empty.dim == 0
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert random_span_element(empty, rng) == Matrix.zeros(QQ, 3, 3)
+    with pytest.raises(ValueError):
+        random_span_element(empty, rng, nonzero=True)
+    assert rng.getstate() == state
 
 
 def test_in_alg_witness_names_violation():

@@ -3,7 +3,9 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -12,11 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nestalg import cli, radical, verify
-from nestalg.algebra import FULL, AlgebraBasis, alg_basis, idempotent_onto, rank_decompose
+from nestalg.algebra import FULL, AlgebraBasis, alg_basis, idempotent_onto, in_alg, rank_decompose
 from nestalg.fields import GF2, QQ
 from nestalg.matrices import Matrix
 from nestalg.nests import flag_nest, ordinal_sum
 from nestalg.radical import ordsum_analyze, strict_ideal_basis
+from nestalg.sampling import random_matrix, random_nest
 from nestalg.serialize import matrix_to_json, nest_from_json
 from nestalg.subspaces import span_of
 
@@ -481,6 +484,13 @@ def test_cli_property_names_are_the_suites(tmp_path):
     assert set(names) <= suites
 
 
+def first_escape_reference(alg):
+    """The closure witness by one `a @ b` per pair in row-major order: the
+    reference for the batched products of check_alg_basis."""
+    pairs = itertools.product(enumerate(alg.basis), repeat=2)
+    return next(([i, j] for (i, a), (j, b) in pairs if not alg.contains(a @ b)), None)
+
+
 def test_closed_under_product_is_computed():
     # a tampered basis of the right dimension, not closed: E11 (E12 + E21) = E12
     for field, n in ((QQ, 2), (GF2, 2), (GF2, 3)):
@@ -501,6 +511,36 @@ def test_closed_under_product_is_computed():
         ck = verify._Check()
         verify.check_alg_basis(ck, nest, good, strict_ideal_basis(nest), None)
         assert all(v["pass"] for v in ck.verdicts())
+
+    # tampered bases of a random flag of Q^3 and of GF(2)^3: one entry
+    # perturbed, or one operator swapped for a non-member; the batched
+    # closure check fails with the pair a per-pair scan finds first
+    rng = random.Random(5)
+    escapes = {False: 0, True: 0}
+    swaps = 0
+    for field in (QQ, GF2):
+        nest = random_nest(field, 3, rng, members=2)
+        good = alg_basis(nest)
+        outside = next(t for t in iter(lambda: random_matrix(field, 3, 3, rng), None)
+                       if not in_alg(nest, t))
+        swaps += good.dim
+        for k in range(good.dim):
+            r, c = rng.randrange(3), rng.randrange(3)
+            rows = [list(row) for row in good.basis[k].entries]
+            rows[r][c] = field.add(rows[r][c], field.one())
+            perturbed = Matrix(field, rows)
+            for swap in (perturbed, outside):
+                tampered = AlgebraBasis(nest, FULL, good.basis[:k] + (swap,) + good.basis[k + 1:])
+                ck = verify._Check()
+                verify.check_alg_basis(ck, nest, tampered, strict_ideal_basis(nest), None)
+                closed = next(v for v in ck.verdicts() if v["property"] == "closed-under-product")
+                want = first_escape_reference(tampered)
+                assert closed["pass"] == (want is None)
+                if want is not None:
+                    assert closed["witness"]["product"] == want
+                    escapes[swap is outside] += 1
+    # every swap for a non-member fails, and so do most perturbations
+    assert escapes[True] == swaps and 2 * escapes[False] > swaps
 
 
 def test_verify_report_is_pinned():

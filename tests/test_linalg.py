@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from nestalg import matrices
 from nestalg.fields import GF, GF2, GF3, MAX_MODULUS, QQ, Field
 from nestalg.matrices import (
     Matrix,
@@ -354,6 +355,52 @@ def test_kernel_properties_random():
             if k.rows:
                 assert rref(k).matrix == k
                 assert rref(k).rank == k.rows
+
+
+def kernel_reference(m):
+    """Kernel by two eliminations: the free-variable vectors of rref(m),
+    then their own rref; the reference for kernel_basis."""
+    f = m.field
+    red = rref(m)
+    vectors = []
+    for fc in (c for c in range(m.cols) if c not in red.pivots):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for i, pc in enumerate(red.pivots):
+            v[pc] = f.neg(red.matrix.entries[i][fc])
+        vectors.append(tuple(v))
+    canon = rref(Matrix(f, tuple(vectors), cols=m.cols))
+    return Matrix(f, canon.matrix.entries[: canon.rank], cols=m.cols)
+
+
+def test_kernel_matches_two_pass_reference(monkeypatch):
+    # One elimination of the column-reversed matrix gives the kernel's RREF
+    # directly; the two-pass construction is the reference.
+    rng = random.Random(15)
+    for field in (QQ, GF2, GF3, GF(7)):
+        cases = [Matrix.zeros(field, r, c) for r, c in ((0, 0), (0, 4), (3, 0), (3, 4))]
+        cases += [Matrix.identity(field, n) for n in (1, 4)]
+        for _ in range(80):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            m = rand_matrix(field, rows, cols, rng)
+            k = rng.randint(1, 3)
+            low = rand_matrix(field, rows, k, rng) @ rand_matrix(field, k, cols, rng)
+            cases += [m, low]
+        for m in cases:
+            got = kernel_basis(m)
+            want = kernel_reference(m)
+            assert got == want and (got.rows, got.cols) == (want.rows, m.cols)
+            assert [list(map(type, r)) for r in got.entries] == [
+                list(map(type, r)) for r in want.entries
+            ]
+
+    calls = []
+    real = matrices.rref
+    monkeypatch.setattr(matrices, "rref", lambda m: calls.append(m) or real(m))
+    for m in (rand_matrix(QQ, 3, 5, rng), rand_matrix(GF3, 4, 4, rng), Matrix.zeros(GF2, 0, 3)):
+        calls.clear()
+        kernel_basis(m)
+        assert len(calls) == 1
 
 
 def test_solve_properties_random():

@@ -104,6 +104,15 @@ def test_nilpotency_index_of_rejects_non_nilpotent_spans():
         radical._nilpotency_index_of(nest, stalls)
 
 
+def test_nilpotency_index_of_empty_basis():
+    # the zero ideal of a one-atom nest: J F^n = 0 already, index 1
+    for field in (QQ, GF2):
+        nest = trivial_nest(field, 3)
+        assert len(nest.atoms) == 1
+        assert radical._nilpotency_index_of(nest, ()) == 1
+        assert radical._nilpotency_index_of(nest, strict_ideal_basis(nest).basis) == 1
+
+
 def _radical_by_scale_and_add(alg):
     """Reference: the trace-form kernel from traces of products, each radical
     element summed as coordinate times basis element."""
@@ -359,3 +368,16 @@ def test_ordsum_analyze_validates_every_operator_first(monkeypatch):
     reports = ordsum_analyze(first, first, [good, good, good])
     assert len(reports) == 3 and len(calls) == 3  # the three radicals, once per pair
     assert ordsum_analyze(first, first, []) == []
+
+
+def test_ordsum_analyze_takes_the_built_sum_basis():
+    rng = random.Random(61)
+    for field in (QQ, GF2):
+        first, second = random_nest(field, 2, rng), random_nest(field, 3, rng)
+        summed = ordinal_sum(first, second)
+        alg = alg_basis(summed)
+        ops = [random_matrix(field, 5, 5, rng), random_span_element(alg, rng)]
+        assert ordsum_analyze(first, second, ops, alg) == ordsum_analyze(first, second, ops)
+        for wrong in (alg_basis(first), strict_ideal_basis(summed)):
+            with pytest.raises(ValueError, match="alg"):
+                ordsum_analyze(first, second, ops, wrong)

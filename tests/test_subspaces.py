@@ -128,6 +128,20 @@ def test_annihilator_laws():
     assert full(QQ, 3).annihilator() == zero_subspace(QQ, 3)
 
 
+def test_annihilator_is_cached_and_double_annihilator_computed():
+    rng = random.Random(24)
+    for field in FIELDS:
+        for _ in range(10):
+            a = rand_subspace(field, rng.randint(0, 4), rng)
+            ann = a.annihilator()
+            assert a.annihilator() is ann
+            double = ann.annihilator()
+            # equal to a, yet computed afresh rather than handed back
+            assert double == a and double is not a
+    for s in enumerate_subspaces(GF2, 3):
+        assert s.annihilator() is s.annihilator()
+
+
 def test_annihilator_exchanges_meet_and_join_exhaustive_gf2_3():
     subs = enumerate_subspaces(GF2, 3)
     for fam in itertools.chain(
