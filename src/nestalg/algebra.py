@@ -15,6 +15,7 @@ from .subspaces import (
     Subspace,
     complement_within,
     enumerate_subspaces,
+    enumerated_basis_rows,
     separating_functional,
     span_of,
 )
@@ -176,13 +177,8 @@ def rank_one_in_alg(nest: Nest, r: RankOneOp) -> bool:
     principal member must sit inside ker phi."""
     if r.matrix.field != nest.field or r.phi.ambient_dim != nest.ambient_dim:
         raise ValueError("rank-one operator does not match the nest")
-    return _kills(nest.field, r.phi.coeffs, nest.principal_pred(r.x).basis.entries)
-
-
-def _kills(field: Field, phi: Vector, pred_rows) -> bool:
-    """Rank-one membership: x (x) phi lies in the algebra exactly when phi
-    vanishes on pred_rows, the basis rows of x's principal predecessor."""
-    return all(not dot(field, phi, row) for row in pred_rows)
+    f, phi = nest.field, r.phi.coeffs
+    return all(not dot(f, phi, row) for row in nest.principal_pred(r.x).basis.entries)
 
 
 def transporter(nest: Nest, x, y) -> RankOneOp:
@@ -265,27 +261,39 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     """All subspaces of GF(p)^n invariant under every given operator.
 
     A filter over enumerate_subspaces, so its bound applies (p in {2,3},
-    n <= 4).  The distinct basis rows of the enumerated subspaces are mapped
-    by a basis of the operators' span (same lattice) in one product with
-    the transposed operators side by side; s is kept when the images of
-    its basis rows all lie in s.elements.
+    n <= 4).  Each image t v is the tuple of dot products of v with the rows
+    of t, so the distinct basis rows of the enumerated subspaces are
+    multiplied once by the distinct operator rows, side by side, and each
+    image is read off that product; s is kept when the images of its basis
+    rows all lie in s.elements.
     """
     n = ambient_dim
-    ops = matrix_span_basis(ops, field, (n, n))
+    ops = tuple(ops)
+    for t in ops:
+        if t.field != field or (t.rows, t.cols) != (n, n):
+            raise ValueError("operators must match the given field and shape")
     subspaces = enumerate_subspaces(field, n)
-    rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
-    products = Matrix._of(field, rows, n) @ _transposes_side_by_side(ops, field, n)
-    images = {v: set(_chunks(w, n)) for v, w in zip(rows, products.entries)}
+    rows = enumerated_basis_rows(field.p, n)
+    column = {r: k for k, r in enumerate(dict.fromkeys(r for t in ops for r in t.entries))}
+    places = [[column[t.entries[i]] for t in ops] for i in range(n)]
+    products = Matrix._of(field, rows, n) @ _side_by_side(tuple(column), field, n)
+    images = {
+        v: set(zip(*[[w[k] for k in place] for place in places]))
+        for v, w in zip(rows, products.entries)
+    }
     return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
+
+
+def _side_by_side(rows, field: Field, n: int) -> Matrix:
+    """The n x len(rows) matrix with the given length-n rows as its columns:
+    entry k of row v of V @ this is the dot product of v with rows[k]."""
+    return Matrix._of(field, tuple(tuple([r[j] for r in rows]) for j in range(n)), len(rows))
 
 
 def _transposes_side_by_side(ops, field: Field, n: int) -> Matrix:
     """The n x (len(ops) n) matrix [t_1^T | t_2^T | ...]: row v of
     V @ this holds the images t_1 v, t_2 v, ... of row v of V in turn."""
-    return Matrix._of(
-        field, tuple(tuple([t.entries[i][j] for t in ops for i in range(n)]) for j in range(n)),
-        len(ops) * n,
-    )
+    return _side_by_side([row for t in ops for row in t.entries], field, n)
 
 
 def _chunks(row: Vector, n: int) -> list[Vector]:
@@ -296,22 +304,39 @@ def _chunks(row: Vector, n: int) -> list[Vector]:
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
     """Every rank-one member of the algebra over a small finite field, one
     per (x, phi) pair of nonzero vectors (scalar multiples included), x
-    outer and phi inner.  The phis killing each possible principal
-    predecessor are found once, and x (x) phi is assembled from the rows
-    c * phi, computed once per phi."""
+    outer and phi inner: phi must kill the principal predecessor of x.
+
+    One product pairs every nonzero vector with the basis rows of each
+    proper member and of its annihilator, n columns per member: a zero
+    slice on the member's dim rows means the vector kills that member, one
+    on the annihilator's n - dim rows means it lies in the member.
+    x (x) phi is assembled from the rows c * phi, computed once per phi."""
     f = nest.field
     if f.is_rationals:
         raise ValueError("rank-one enumeration needs a finite field")
     n, p = nest.ambient_dim, f.p
     vectors = [v for v in itertools.product(f.elements(), repeat=n) if any(v)]
+    proper = nest.chain[1:-1]
+    probes = [r for m in proper for r in m.basis.entries + m.annihilator().basis.entries]
+    cuts = [(i * n, i * n + m.dim, i * n + n) for i, m in enumerate(proper)]
+    products = Matrix._of(f, tuple(vectors), n) @ _side_by_side(probes, f, n)
+    killing = [vectors] + [[] for _ in proper]
+    preds = []
+    for v, w in zip(vectors, products.entries):
+        pred = len(proper)
+        for i, (a, b, c) in enumerate(cuts):
+            if not any(w[a:b]):
+                killing[i + 1].append(v)
+            if pred == len(proper) and not any(w[b:c]):
+                pred = i
+        preds.append(pred)
     factors = {
         phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
         for phi in vectors
     }
-    killing = {m: [v for v in vectors if _kills(f, v, m.basis.entries)] for m in nest.chain[:-1]}
     out = []
-    for x in vectors:
-        for functional, multiples in map(factors.get, killing[nest.principal_pred(x)]):
+    for x, pred in zip(vectors, preds):
+        for functional, multiples in map(factors.get, killing[pred]):
             out.append(RankOneOp(x, functional, Matrix._of(f, tuple([multiples[c] for c in x]), n)))
     return out
 

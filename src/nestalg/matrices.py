@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .fields import Field, Scalar
@@ -156,7 +157,7 @@ class Matrix:
 
     def vectorize(self) -> Vector:
         """Row-major flattening, used to treat operators as plain vectors."""
-        return tuple(x for row in self.entries for x in row)
+        return tuple(chain.from_iterable(self.entries))
 
     def to_nested(self) -> list:
         fmt = self.field.format_scalar

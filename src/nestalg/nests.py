@@ -63,8 +63,10 @@ class Nest:
     def principal_pred(self, x) -> Subspace:
         """Largest member not containing x, the predecessor of principal(x)."""
         x = self._check_vector(x)
-        idx = self.chain.index(self.principal(x))
-        return self.chain[idx - 1]
+        for pred, member in zip(self.chain, self.chain[1:]):
+            if member.contains(x):
+                return pred
+        raise AssertionError("unreachable: the top member contains every vector")
 
     def join_irreducibles(self) -> list[tuple[Subspace, Vector]]:
         """Every nonzero member with a witness x whose principal member it is.

@@ -196,6 +196,14 @@ def _enumerate_subspaces(p: int, ambient_dim: int) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def enumerated_basis_rows(p: int, ambient_dim: int) -> tuple[Vector, ...]:
+    """The distinct basis rows of the subspaces of GF(p)^n, in order of first
+    appearance; call enumerate_subspaces first for its bound check."""
+    subspaces = _enumerate_subspaces(p, ambient_dim)
+    return tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
+
+
 def enumerate_subspaces(field: Field, ambient_dim: int) -> tuple[Subspace, ...]:
     """All subspaces of GF(p)^n in canonical order (dim, then basis entries).
 

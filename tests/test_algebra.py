@@ -11,8 +11,11 @@ from nestalg.algebra import (
     STRICT,
     AlgebraBasis,
     MembershipError,
+    RankOneOp,
+    _chunks,
     _constraint_rows,
     _pairs,
+    _transposes_side_by_side,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -29,7 +32,7 @@ from nestalg.algebra import (
     transporter,
 )
 from nestalg.fields import GF2, GF3, QQ
-from nestalg.matrices import Matrix, is_zero_vector, kernel_basis
+from nestalg.matrices import Matrix, dot, is_zero_vector, kernel_basis
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, new_nest, trivial_nest
 from nestalg.radical import strict_ideal_basis
 from nestalg.sampling import (
@@ -320,25 +323,84 @@ def test_invariant_lattice_recovers_chain():
         assert tuple(rank_one_route) == nest.chain
 
 
+def span_lattice_reference(ops, field, n):
+    """The span-basis route to the invariant lattice: the operators are
+    reduced to a basis of their span, whose transposes, side by side, map
+    the distinct basis rows of the enumerated subspaces in one product."""
+    ops = matrix_span_basis(ops, field, (n, n))
+    subspaces = enumerate_subspaces(field, n)
+    rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
+    products = Matrix._of(field, rows, n) @ _transposes_side_by_side(ops, field, n)
+    images = {v: set(_chunks(w, n)) for v, w in zip(rows, products.entries)}
+    return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
+
+
+def raw_lattice_reference(ops, field, n):
+    # s is invariant exactly when the images of its basis, computed here on
+    # raw ints, add nothing to its span
+    expected = []
+    for s in enumerate_subspaces(field, n):
+        basis = list(s.basis.entries)
+        images = [
+            tuple(sum(a * b for a, b in zip(row, v)) for row in t.entries)
+            for t in ops
+            for v in basis
+        ]
+        if span_of(basis + images, field, n).dim == s.dim:
+            expected.append(s)
+    return expected
+
+
+def lattice_op_sets(field, n, rng):
+    """Operator sets of up to 40 operators: empty, the zero operator, random
+    ones, ones whose rows come from a pool of three (shared rows), algebra
+    elements and rank-ones of a random nest (nontrivial lattices), each of
+    the last three also with duplicates and the zero operator added."""
+    zero = Matrix.zeros(field, n, n)
+    yield []
+    yield [zero]
+    for k in (1, 2, 5):
+        yield [random_matrix(field, n, n, rng) for _ in range(k)]
+    pool = [random_vector(field, n, rng) for _ in range(3)]
+    shared = [Matrix(field, tuple(rng.choice(pool) for _ in range(n))) for _ in range(30)]
+    nest = random_nest(field, n, rng)
+    alg = alg_basis(nest)
+    members = [random_span_element(alg, rng) for _ in range(rng.randint(1, 30))]
+    ones = [r.matrix for r in all_rank_ones_in_alg(nest)[:30]]
+    for ops in (shared, members, ones):
+        yield ops
+        yield (ops + ops[:9] + [zero])[:40]
+
+
 def test_invariant_lattice_matches_span_reference():
-    # operator sets from no nest: s is invariant exactly when the images of
-    # its basis, computed here on raw ints, add nothing to its span
+    # operator sets with repeated and shared operator rows, which the lattice
+    # maps once each
     rng = random.Random(49)
-    for field in (GF2, GF3):
-        for n in (1, 2, 3):
-            for k in (0, 1, 1, 2, 2):
-                ops = [random_matrix(field, n, n, rng) for _ in range(k)]
-                expected = []
-                for s in enumerate_subspaces(field, n):
-                    basis = list(s.basis.entries)
-                    images = [
-                        tuple(sum(a * b for a, b in zip(row, v)) for row in t.entries)
-                        for t in ops
-                        for v in basis
-                    ]
-                    if span_of(basis + images, field, n).dim == s.dim:
-                        expected.append(s)
+    for field, top in ((GF2, 4), (GF3, 3)):
+        for n in range(1, top + 1):
+            for ops in lattice_op_sets(field, n, rng):
+                expected = span_lattice_reference(ops, field, n)
+                assert raw_lattice_reference(ops, field, n) == expected
                 assert invariant_lattice(ops, field, n) == expected
+    assert invariant_lattice([], GF2, 2) == list(enumerate_subspaces(GF2, 2))
+
+
+def test_invariant_lattice_takes_any_iterable():
+    nest = flag_nest(GF3, 3)
+    ops = [r.matrix for r in all_rank_ones_in_alg(nest)]
+    assert invariant_lattice(iter(ops), GF3, 3) == invariant_lattice(ops, GF3, 3)
+    assert invariant_lattice((t for t in ops), GF3, 3) == list(nest.chain)
+
+
+def test_invariant_lattice_rejects_mismatched_operators():
+    # checked before any work: an operator of another field or shape,
+    # anywhere in the set, raises
+    good = Matrix.identity(GF2, 3)
+    for bad in (Matrix.identity(GF3, 3), Matrix.identity(GF2, 2), Matrix.zeros(GF2, 3, 2)):
+        with pytest.raises(ValueError, match="must match the given field and shape"):
+            invariant_lattice([good, bad], GF2, 3)
+        with pytest.raises(ValueError, match="must match the given field and shape"):
+            invariant_lattice(iter([bad]), GF2, 3)
 
 
 def test_invariant_lattice_rejects_rationals():
@@ -379,6 +441,43 @@ def test_all_rank_ones_match_ordered_scan():
                     if in_alg(nest, r.matrix):
                         expected.append(r)
             assert all_rank_ones_in_alg(nest) == expected
+
+
+def scan_rank_ones_reference(nest):
+    """Rank-ones by per-vector scans: the functionals killing each member are
+    found by dot products with its basis rows, and x's principal predecessor
+    by Nest.principal_pred."""
+    f, n, p = nest.field, nest.ambient_dim, nest.field.p
+    vectors = [v for v in itertools.product(f.elements(), repeat=n) if any(v)]
+    killing = {
+        m: [v for v in vectors if all(not dot(f, v, row) for row in m.basis.entries)]
+        for m in nest.chain[:-1]
+    }
+    out = []
+    for x in vectors:
+        for phi in killing[nest.principal_pred(x)]:
+            rows = tuple(tuple(c * a % p for a in phi) for c in x)
+            out.append(RankOneOp(x, Functional(f, n, phi), Matrix(f, rows)))
+    return out
+
+
+def test_all_rank_ones_match_scan_reference():
+    # every chain of GF(2)^4 and GF(3)^3: the same RankOneOps in the same order
+    for field, n in ((GF2, 4), (GF3, 3)):
+        for nest in iter_nests(field, n):
+            assert all_rank_ones_in_alg(nest) == scan_rank_ones_reference(nest)
+
+
+def test_reflexivity_caches_nothing_on_the_bounding_members():
+    # {0} and F^n are fresh objects in every nest: caching their elements or
+    # annihilator there would be kept alive per nest, for no reuse
+    nest = flag_nest(GF2, 3)
+    ones = all_rank_ones_in_alg(nest)
+    invariant_lattice(alg_basis(nest).basis, GF2, 3)
+    invariant_lattice([r.matrix for r in ones], GF2, 3)
+    for member in (nest.chain[0], nest.chain[-1]):
+        assert "elements" not in member.__dict__
+        assert "_annihilator" not in member.__dict__
 
 
 def test_constraint_rows_match_rank():
