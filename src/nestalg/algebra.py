@@ -13,7 +13,6 @@ from .nests import Nest
 from .subspaces import (
     Functional,
     Subspace,
-    complement_within,
     enumerate_subspaces,
     enumerated_basis_rows,
     separating_functional,
@@ -202,29 +201,26 @@ def transporter(nest: Nest, x, y) -> RankOneOp:
 def idempotent_onto(nest: Nest, m: Subspace) -> tuple[Matrix, list[RankOneOp]]:
     """An idempotent P in the algebra with range m, split into rank-one parts.
 
-    Recursive construction: peel the first basis vector y of m, build P# on a
-    complement of span{y} in m, then add the rank-one (y - P# y) (x) phi where
-    phi kills both the predecessor and ran P#.  The parts multiply to zero
-    pairwise and sum to P.
+    The RREF basis rows y_k of m are taken from the last to the first.  P,
+    so far an idempotent onto the span `rest` of the rows after y_k, gains
+    the rank-one (y_k - P y_k) (x) phi where phi kills both the principal
+    predecessor and rest.  The parts multiply to zero pairwise and sum to P.
     """
     if m.field != nest.field or m.ambient_dim != nest.ambient_dim:
         raise ValueError("subspace does not match the nest")
     if m.dim == 0:
         raise ValueError("no idempotent with zero range")
-    f = nest.field
-    if m.dim == 1:
-        x = m.basis.entries[0]
-        phi = separating_functional(x, nest.principal_pred(x))
-        part = rank_one(x, phi)
-        return part.matrix, [part]
-    y = m.basis.entries[0]
-    rest = complement_within(span_of([y], f, m.ambient_dim), m)
-    p_rest, parts = idempotent_onto(nest, rest)
-    x = tuple(f.sub(a, b) for a, b in zip(y, p_rest.apply(y)))
-    avoid = nest.principal_pred(x).join(rest)
-    phi = separating_functional(x, avoid)
-    part = rank_one(x, phi)
-    return p_rest + part.matrix, parts + [part]
+    f, n = nest.field, nest.ambient_dim
+    rows = m.basis.entries
+    p = Matrix.zeros(f, n, n)
+    parts = []
+    for k in reversed(range(m.dim)):
+        rest = Subspace(f, n, Matrix._of(f, rows[k + 1 :], n))
+        x = tuple(f.sub(a, b) for a, b in zip(rows[k], p.apply(rows[k])))
+        part = rank_one(x, separating_functional(x, nest.principal_pred(x).join(rest)))
+        p = p + part.matrix
+        parts.append(part)
+    return p, parts
 
 
 def range_of(t: Matrix) -> Subspace:
@@ -263,7 +259,7 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     A filter over enumerate_subspaces, so its bound applies (p in {2,3},
     n <= 4).  Each image t v is the tuple of dot products of v with the rows
     of t, so the distinct basis rows of the enumerated subspaces are
-    multiplied once by the distinct operator rows, side by side, and each
+    multiplied once by the transposed distinct operator rows, and each
     image is read off that product; s is kept when the images of its basis
     rows all lie in s.elements.
     """
@@ -276,7 +272,7 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     rows = enumerated_basis_rows(field.p, n)
     column = {r: k for k, r in enumerate(dict.fromkeys(r for t in ops for r in t.entries))}
     places = [[column[t.entries[i]] for t in ops] for i in range(n)]
-    products = Matrix._of(field, rows, n) @ _side_by_side(tuple(column), field, n)
+    products = Matrix._of(field, rows, n) @ Matrix._of(field, tuple(column), n).transpose()
     images = {
         v: set(zip(*[[w[k] for k in place] for place in places]))
         for v, w in zip(rows, products.entries)
@@ -284,58 +280,30 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
 
 
-def _side_by_side(rows, field: Field, n: int) -> Matrix:
-    """The n x len(rows) matrix with the given length-n rows as its columns:
-    entry k of row v of V @ this is the dot product of v with rows[k]."""
-    return Matrix._of(field, tuple(tuple([r[j] for r in rows]) for j in range(n)), len(rows))
-
-
-def _transposes_side_by_side(ops, field: Field, n: int) -> Matrix:
-    """The n x (len(ops) n) matrix [t_1^T | t_2^T | ...]: row v of
-    V @ this holds the images t_1 v, t_2 v, ... of row v of V in turn."""
-    return _side_by_side([row for t in ops for row in t.entries], field, n)
-
-
-def _chunks(row: Vector, n: int) -> list[Vector]:
-    """The consecutive length-n pieces of row."""
-    return [row[k : k + n] for k in range(0, len(row), n)]
-
-
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
     """Every rank-one member of the algebra over a small finite field, one
     per (x, phi) pair of nonzero vectors (scalar multiples included), x
     outer and phi inner: phi must kill the principal predecessor of x.
 
-    One product pairs every nonzero vector with the basis rows of each
-    proper member and of its annihilator, n columns per member: a zero
-    slice on the member's dim rows means the vector kills that member, one
-    on the annihilator's n - dim rows means it lies in the member.
-    x (x) phi is assembled from the rows c * phi, computed once per phi."""
+    The functionals killing a proper member are the nonzero elements of its
+    annihilator (every nonzero vector kills {0}), sorted into the order of
+    itertools.product, and x's principal member is the first proper member
+    whose elements hold x (F^n if none).  x (x) phi is assembled from the
+    rows c * phi, computed once per phi."""
     f = nest.field
     if f.is_rationals:
         raise ValueError("rank-one enumeration needs a finite field")
     n, p = nest.ambient_dim, f.p
     vectors = [v for v in itertools.product(f.elements(), repeat=n) if any(v)]
     proper = nest.chain[1:-1]
-    probes = [r for m in proper for r in m.basis.entries + m.annihilator().basis.entries]
-    cuts = [(i * n, i * n + m.dim, i * n + n) for i, m in enumerate(proper)]
-    products = Matrix._of(f, tuple(vectors), n) @ _side_by_side(probes, f, n)
-    killing = [vectors] + [[] for _ in proper]
-    preds = []
-    for v, w in zip(vectors, products.entries):
-        pred = len(proper)
-        for i, (a, b, c) in enumerate(cuts):
-            if not any(w[a:b]):
-                killing[i + 1].append(v)
-            if pred == len(proper) and not any(w[b:c]):
-                pred = i
-        preds.append(pred)
+    killing = [vectors] + [sorted(v for v in m.annihilator().elements if any(v)) for m in proper]
     factors = {
         phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
         for phi in vectors
     }
     out = []
-    for x, pred in zip(vectors, preds):
+    for x in vectors:
+        pred = next((i for i, m in enumerate(proper) if x in m.elements), len(proper))
         for functional, multiples in map(factors.get, killing[pred]):
             out.append(RankOneOp(x, functional, Matrix._of(f, tuple([multiples[c] for c in x]), n)))
     return out

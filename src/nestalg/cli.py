@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -421,12 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2)
-    if output:
-        Path(output).write_text(text + "\n")
-    else:
-        print(text)
+def _emit(doc: dict, output) -> None:
+    """Write the report to the opened --output file, else to stdout.  A
+    reader that closed stdout early does not change the exit code: stdout
+    is pointed at the null device so the interpreter's last flush is quiet."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if output is not None:
+        with output:
+            output.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -454,7 +463,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     inputs: dict = {"seed": args.seed, "cases": args.cases, "max_dim": args.max_dim}
     docs: dict = {}
+    output = None
     try:
+        if args.output:  # opened before any work, so an unwritable path is bad input
+            try:
+                output = open(args.output, "w")
+            except OSError as exc:
+                raise SpecError("output", f"cannot write {args.output}: {exc}") from None
+        for name in ("cases", "max_dim"):
+            if inputs[name] < 0:
+                raise SpecError(name, f"must be nonnegative, got {inputs[name]}")
         if getattr(args, "input", None):
             docs["input"], inputs["input"] = _read_json_file(args.input, "input")
         if getattr(args, "matrix", None):
@@ -466,7 +484,7 @@ def main(argv=None) -> int:
             "inputs": inputs,
             "error": _error_payload(exc),
         }
-        _emit(report, args.output)
+        _emit(report, output)
         return 2
     report = {
         "command": args.command,
@@ -474,7 +492,7 @@ def main(argv=None) -> int:
         "results": results,
         "verdicts": verdicts,
     }
-    _emit(report, args.output)
+    _emit(report, output)
     return 0 if all(v["pass"] for v in verdicts) else 1
 
 

@@ -137,9 +137,9 @@ class Matrix:
         return tuple([sum([a * b for a, b in zip(row, v)]) % p for row in self.entries])
 
     def transpose(self) -> Matrix:
-        if not self.entries:
-            return Matrix.zeros(self.field, self.cols, 0)
-        return Matrix(self.field, tuple(zip(*self.entries)), cols=self.rows)
+        """Wrapped as is, the entries being field elements already; rows @
+        m.transpose() holds the dot products of each row with each row of m."""
+        return Matrix._of(self.field, tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:

@@ -16,12 +16,10 @@ from .algebra import (
     STRICT,
     AlgebraBasis,
     _check_operator,
-    _chunks,
     _constraint_kernel,
     _operators,
     _pairs,
     _require_member,
-    _transposes_side_by_side,
     _violation,
     alg_basis,
     in_alg,
@@ -75,16 +73,16 @@ def _nilpotency_index_of(nest: Nest, basis) -> int:
     J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.  The
     V_k only shrink, so V_k = V_(k-1) != 0, or V_n != 0, proves J not
     nilpotent, and an AssertionError names the basis.  Each step's images
-    are one product of V_(k-1)'s basis with the transposed basis operators
-    side by side.
+    are one product of V_(k-1)'s basis with the transposed stacked basis
+    operators, read off n entries at a time.
     """
     f = nest.field
     n = nest.ambient_dim
-    transposes = _transposes_side_by_side(basis, f, n)
+    transposes = Matrix._of(f, tuple(r for b in basis for r in b.entries), n).transpose()
     space = full(f, n)
     for k in range(1, n + 1):
         products = (space.basis @ transposes).entries
-        image = span_of([w for row in products for w in _chunks(row, n)], f, n)
+        image = span_of([w[j : j + n] for w in products for j in range(0, len(w), n)], f, n)
         if image.dim == 0:
             return k
         if image == space:
@@ -135,8 +133,8 @@ def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
     n = alg.nest.ambient_dim
     stacked = alg.span.basis
     # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
-    columns = tuple(zip(*(b.transpose().vectorize() for b in alg.basis)))
-    gram = stacked @ Matrix._of(f, columns, alg.dim)
+    vec_transposes = tuple(b.transpose().vectorize() for b in alg.basis)
+    gram = stacked @ Matrix._of(f, vec_transposes, n * n).transpose()
     # The kernel coordinates and the stacked algebra basis are both in RREF,
     # and the latter's pivot columns are unit columns, so their product is
     # already the canonical basis of the span.

@@ -12,10 +12,8 @@ from nestalg.algebra import (
     AlgebraBasis,
     MembershipError,
     RankOneOp,
-    _chunks,
     _constraint_rows,
     _pairs,
-    _transposes_side_by_side,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -43,7 +41,14 @@ from nestalg.sampling import (
     random_subspace,
     random_vector,
 )
-from nestalg.subspaces import Functional, enumerate_subspaces, span_of, zero_subspace
+from nestalg.subspaces import (
+    Functional,
+    complement_within,
+    enumerate_subspaces,
+    separating_functional,
+    span_of,
+    zero_subspace,
+)
 
 Q = Fraction
 
@@ -251,6 +256,38 @@ def test_idempotent_onto_properties():
                         assert (a.matrix @ b.matrix).is_zero()
 
 
+def idempotent_onto_reference(nest, m):
+    """The recursive construction: peel the first basis vector y of m, build
+    P# on complement_within(span{y}, m), then add (y - P# y) (x) phi with phi
+    killing both the principal predecessor and ran P#."""
+    f = nest.field
+    if m.dim == 1:
+        x = m.basis.entries[0]
+        part = rank_one(x, separating_functional(x, nest.principal_pred(x)))
+        return part.matrix, [part]
+    y = m.basis.entries[0]
+    rest = complement_within(span_of([y], f, m.ambient_dim), m)
+    p_rest, parts = idempotent_onto_reference(nest, rest)
+    x = tuple(f.sub(a, b) for a, b in zip(y, p_rest.apply(y)))
+    part = rank_one(x, separating_functional(x, nest.principal_pred(x).join(rest)))
+    return p_rest + part.matrix, parts + [part]
+
+
+def test_idempotent_onto_matches_recursive_reference():
+    # the same P and the same parts, in order, on 600 seeded (nest, subspace) cases
+    rng = random.Random(45)
+    cases = 0
+    while cases < 600:
+        field = (QQ, GF2, GF3)[cases % 3]
+        n = rng.randint(1, 6)
+        nest = random_nest(field, n, rng)
+        m = random_subspace(field, n, rng)
+        if m.dim == 0:
+            continue
+        assert idempotent_onto(nest, m) == idempotent_onto_reference(nest, m)
+        cases += 1
+
+
 def test_rank_decompose_frozen():
     nest = flag_nest(QQ, 3)
     t = qmat([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
@@ -330,8 +367,11 @@ def span_lattice_reference(ops, field, n):
     ops = matrix_span_basis(ops, field, (n, n))
     subspaces = enumerate_subspaces(field, n)
     rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
-    products = Matrix._of(field, rows, n) @ _transposes_side_by_side(ops, field, n)
-    images = {v: set(_chunks(w, n)) for v, w in zip(rows, products.entries)}
+    side_by_side = tuple(tuple([r[j] for t in ops for r in t.entries]) for j in range(n))
+    products = Matrix._of(field, rows, n) @ Matrix._of(field, side_by_side, n * len(ops))
+    images = {
+        v: {w[k : k + n] for k in range(0, len(w), n)} for v, w in zip(rows, products.entries)
+    }
     return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
 
 
@@ -466,6 +506,12 @@ def test_all_rank_ones_match_scan_reference():
     for field, n in ((GF2, 4), (GF3, 3)):
         for nest in iter_nests(field, n):
             assert all_rank_ones_in_alg(nest) == scan_rank_ones_reference(nest)
+
+
+def test_all_rank_ones_match_scan_reference_on_sampled_gf3_4():
+    # 100 of the 3,851 chains of GF(3)^4, beyond the exhaustive sweep above
+    for nest in random.Random(46).sample(list(iter_nests(GF3, 4)), 100):
+        assert all_rank_ones_in_alg(nest) == scan_rank_ones_reference(nest)
 
 
 def test_reflexivity_caches_nothing_on_the_bounding_members():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -392,6 +393,48 @@ def test_output_flag_writes_file(tmp_path):
     assert proc.returncode == 0
     report = json.loads(out.read_text())
     assert report["command"] == "check"
+
+
+def test_closed_stdout_keeps_the_report_exit_code():
+    # the reader has closed the pipe before the report is written: no
+    # traceback, and the exit code is the report's own
+    for argv, code in ((["verify", "dual", "--cases", "2"], 0),
+                       (["verify", "dual", "--cases", "-1"], 2)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nestalg", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_unwritable_output_is_bad_input(tmp_path, monkeypatch):
+    target = tmp_path / "missing" / "r.json"
+    proc = run_cli("verify", "dual", "--cases", "2", "--output", str(target))
+    assert (proc.returncode, proc.stderr) == (2, "")
+    error = load_report(proc)["error"]
+    assert (error["type"], error["path"]) == ("input", "output")
+    assert not target.parent.exists()
+
+    # rejected before the command's work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(verify, "run_suite", no_work)
+    code, report = run_main("verify", "dual", "--output", str(target))
+    assert (code, report["error"]["path"]) == (2, "output")
+
+
+@pytest.mark.parametrize("flag, name", [("--cases", "cases"), ("--max-dim", "max_dim")])
+def test_negative_counts_are_bad_input(flag, name):
+    proc = run_cli("verify", "lattice", flag, "-1")
+    assert proc.returncode == 2
+    error = load_report(proc)["error"]
+    assert (error["type"], error["path"]) == ("input", name)
+    code, report = run_main("verify", "lattice", flag, "0")
+    assert code == 0 and report["results"]["failures"] == 0
 
 
 RANK_OP = [["0", "1", "1"], ["0", "0", "1"], ["0", "0", "0"]]

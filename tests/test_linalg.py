@@ -459,6 +459,40 @@ def test_empty_matrix_keeps_cols():
         Matrix(QQ, ((Fraction(1), Fraction(2)),), cols=3)
 
 
+def transpose_reference(m):
+    """The transpose through the public, coercing constructor."""
+    if not m.entries:
+        return Matrix.zeros(m.field, m.cols, 0)
+    return Matrix(m.field, tuple(zip(*m.entries)), cols=m.rows)
+
+
+def shape_of(m):
+    return m.rows, m.cols, m.entries, [type(x) for row in m.entries for x in row]
+
+
+def test_transpose_matches_coercing_reference(monkeypatch):
+    # equal shapes, entries and entry types on Q and GF(p), the empty shapes
+    # included; an involution; and no entry passes through Field.coerce
+    rng = random.Random(61)
+    mats = []
+    for field in FIELDS + (GF(7),):
+        mats += [Matrix(field, (), cols=3), Matrix(field, ((), (), ()))]
+        mats += [rand_matrix(field, rng.randint(1, 5), rng.randint(1, 5), rng) for _ in range(30)]
+    mats += [rand_fraction_matrix(rng.randint(1, 5), rng.randint(1, 5), rng) for _ in range(30)]
+    expected = [shape_of(transpose_reference(m)) for m in mats]
+
+    def refuse(self, value):
+        raise AssertionError("transpose coerced an entry")
+
+    monkeypatch.setattr(Field, "coerce", refuse)
+    for m, want in zip(mats, expected):
+        t = m.transpose()
+        assert shape_of(t) == want
+        assert shape_of(t.transpose()) == shape_of(m)
+    assert shape_of(mats[0].transpose())[:3] == (3, 0, ((), (), ()))
+    assert shape_of(mats[1].transpose())[:3] == (0, 3, ())
+
+
 def test_shape_and_field_mismatch():
     a = qmat([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
