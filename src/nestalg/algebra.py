@@ -231,15 +231,15 @@ def range_of(t: Matrix) -> Subspace:
 def rank_decompose(nest: Nest, t: Matrix) -> list[Matrix]:
     """Write a nonzero member t of the algebra as rank(t) rank-one members.
 
-    Summands are P_k t for the rank-one parts P_k of an idempotent onto
-    range(t); zero products are dropped, leaving exactly rank(t) terms.
+    Summands are P_k t for the rank-one parts P_k = x_k (x) phi_k of an
+    idempotent onto range(t), one per dimension of the range.  None is zero:
+    x_k lies in range(t) and phi_k(x_k) = 1, so phi_k does not vanish on it.
     """
     _require_member(nest, t)
     if t.is_zero():
         raise ValueError("the zero operator has no rank decomposition")
     _, parts = idempotent_onto(nest, range_of(t))
-    summands = [p.matrix @ t for p in parts]
-    return [s for s in summands if not s.is_zero()]
+    return [p.matrix @ t for p in parts]
 
 
 def strict_approximant(nest: Nest, t: Matrix, vectors) -> Matrix:
@@ -312,7 +312,11 @@ def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
 def reflexivity_witness(nest: Nest, m: Subspace) -> tuple[RankOneOp, Vector]:
     """For m outside the chain, a rank-one member R and x in m with R x not in m.
 
-    Searches basis vectors of m first, then their pairwise sums.
+    x is the first basis row of m whose principal member leaves m, and R is
+    `transporter(nest, x, y)` for the first basis row y of that member
+    outside m, so R x = y lies outside m.  Some row always qualifies: were
+    every row's principal member inside m, the largest of them would hold
+    all rows, hence contain m, and so equal m, a member of the chain.
     """
     if m.field != nest.field or m.ambient_dim != nest.ambient_dim:
         raise ValueError("subspace does not match the nest")
@@ -320,20 +324,11 @@ def reflexivity_witness(nest: Nest, m: Subspace) -> tuple[RankOneOp, Vector]:
         raise ValueError("m is a member of the nest")
     if m.dim == 0:
         raise ValueError("the zero subspace admits no witness")
-    f = nest.field
-    rows = m.basis.entries
-    candidates = list(rows)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            candidates.append(tuple(f.add(a, b) for a, b in zip(rows[i], rows[j])))
-    for x in candidates:
-        principal = nest.principal(x)
-        for y in principal.basis.entries:
+    for x in m.basis.entries:
+        for y in nest.principal(x).basis.entries:
             if not m.contains(y):
-                r = transporter(nest, x, y)
-                if not m.contains(r.matrix.apply(x)):
-                    return r, x
-    raise ValueError("no witness found; is m really outside the chain?")
+                return transporter(nest, x, y), x
+    raise AssertionError("unreachable: every basis row of m has its principal member in m")
 
 
 def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matrix, ...]:

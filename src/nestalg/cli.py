@@ -28,9 +28,7 @@ from . import c00, verify
 from .algebra import (
     MembershipError,
     alg_basis,
-    all_rank_ones_in_alg,
     idempotent_onto,
-    invariant_lattice,
     rank_decompose,
     rank_one_in_alg,
     reflexivity_witness,
@@ -224,7 +222,7 @@ def cmd_radical(args, docs, inputs):
     ck = verify._Check()
     verify.check_radical_report(ck, rep, ce)
     rng = random.Random(args.seed)
-    wanted = max(1, min(args.cases, 5))
+    wanted = min(args.cases, 5)
     witnesses = []
     attempts = 0
     while len(witnesses) < wanted and attempts < 100 * wanted:
@@ -286,18 +284,14 @@ def cmd_reflexivity(args, docs, inputs):
             "with {\"subspace\": [vectors]} to get a witness for one subspace",
         )
     check_enumeration_bound(nest.field, nest.ambient_dim)
-    alg = alg_basis(nest)
-    ones = all_rank_ones_in_alg(nest)
-    lat_alg = invariant_lattice(alg.basis, nest.field, nest.ambient_dim)
-    lat_ones = invariant_lattice([r.matrix for r in ones], nest.field, nest.ambient_dim)
+    lat_alg, lat_ones, count = verify.check_reflexivity_lattice(ck, nest, nest_to_json(nest))
     results = {
         "mode": "full",
         "chain_dims": [s.dim for s in nest.chain],
         "invariant_dims_algebra": [s.dim for s in lat_alg],
         "invariant_dims_rank_ones": [s.dim for s in lat_ones],
-        "rank_one_generators": len(ones),
+        "rank_one_generators": count,
     }
-    verify.check_reflexivity_lattice(ck, nest, lat_alg, lat_ones, nest_to_json(nest))
     return results, ck.verdicts()
 
 
@@ -397,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", help="JSON file with the operator or subspace payload")
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="seed for any sampling (default 0)")
-        p.add_argument("--cases", type=int, default=100, help="sample count for randomized checks")
+        p.add_argument("--cases", type=int, default=100,
+                       help="sample count for randomized checks (radical: exclusion "
+                       "witnesses, at most 5)")
         p.add_argument("--max-dim", type=int, default=4, dest="max_dim",
                        help="dimension bound for exhaustive sweeps")
         p.add_argument("--format", choices=["json"], default="json",

@@ -22,18 +22,11 @@ class IncomparableError(ValueError):
 
 @dataclass(frozen=True)
 class Nest:
-    """A maximal-information chain: {0} = chain[0] < ... < chain[-1] = F^n.
-
-    Every finite chain is complete and well ordered, so those flags are
-    constants here rather than computed properties.
-    """
+    """A maximal-information chain: {0} = chain[0] < ... < chain[-1] = F^n."""
 
     field: Field
     ambient_dim: int
     chain: tuple[Subspace, ...]
-
-    is_complete = True
-    is_well_ordered = True
 
     @property
     def atoms(self) -> tuple[int, ...]:

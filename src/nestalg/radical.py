@@ -58,16 +58,9 @@ def nilpotency_index(nest: Nest, t: Matrix):
     return None
 
 
-def ideal_nilpotency_index(nest: Nest) -> int:
-    """Least k such that every product of k strictly-shifting operators is zero.
-
-    Equals the number of atoms of the nest.
-    """
-    return _nilpotency_index_of(nest, strict_ideal_basis(nest).basis)
-
-
-def _nilpotency_index_of(nest: Nest, basis) -> int:
-    """Nilpotency index of the span J of `basis`, on n-column subspaces.
+def ideal_nilpotency_index(ideal: AlgebraBasis) -> int:
+    """Least k such that every product of k operators of the span J of
+    `ideal.basis` is zero; for the strictly-shifting ideal, the number of atoms.
 
     V_0 = F^n and V_k = span{b v : b in basis, v in V_(k-1)} = J^k F^n, as
     J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.  The
@@ -76,8 +69,7 @@ def _nilpotency_index_of(nest: Nest, basis) -> int:
     are one product of V_(k-1)'s basis with the transposed stacked basis
     operators, read off n entries at a time.
     """
-    f = nest.field
-    n = nest.ambient_dim
+    f, n, basis = ideal.nest.field, ideal.nest.ambient_dim, ideal.basis
     transposes = Matrix._of(f, tuple(r for b in basis for r in b.entries), n).transpose()
     space = full(f, n)
     for k in range(1, n + 1):
@@ -112,8 +104,9 @@ def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
     return s
 
 
-def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
-    """Radical of the algebra via the trace form: {T : trace(T S) = 0 for all S}.
+def radical_basis_oracle(alg: AlgebraBasis) -> AlgebraBasis:
+    """Radical of the algebra whose basis is `alg`, via the trace form:
+    {T : trace(T S) = 0 for all S}.  Both products run on alg's own basis.
 
     The radical lies in this trace-form kernel T in every characteristic (for
     x in the radical every x S is nilpotent, so its trace is 0), and the
@@ -121,16 +114,9 @@ def radical_basis_oracle(nest: Nest) -> AlgebraBasis:
     is nondegenerate on the diagonal blocks M_d(F) in every characteristic
     (tr(E_ij E_ji) = 1), so T = J, which proves rad = J over any field.
     """
-    return _trace_form_radical(alg_basis(nest))
-
-
-def _trace_form_radical(alg: AlgebraBasis) -> AlgebraBasis:
-    """radical_basis_oracle for the algebra's already-built basis.
-
-    Both products run on the algebra's own basis matrices, never on J's.
-    """
-    f = alg.nest.field
-    n = alg.nest.ambient_dim
+    if alg.kind != FULL:
+        raise ValueError("the trace-form radical needs the algebra basis")
+    f, n = alg.nest.field, alg.nest.ambient_dim
     stacked = alg.span.basis
     # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
     vec_transposes = tuple(b.transpose().vectorize() for b in alg.basis)
@@ -176,9 +162,9 @@ class RadicalReport:
 def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport:
     """Compute the ideal, the radical, and the structural cross-checks.
 
-    The radical comes from the independent trace-form oracle on every field,
-    and `equal` compares the two spans: the trace form is nondegenerate on
-    the diagonal blocks in any characteristic, so T = J proves rad = J.
+    The index is `ideal_nilpotency_index` of the strict ideal, and the radical
+    the independent trace-form oracle `radical_basis_oracle`, on every field;
+    `equal` compares the two spans, and T = J proves rad = J.
 
     A caller that has already built `alg_basis(nest)` passes it as `alg`.
     The report keeps only its dimension: callers hold many reports.
@@ -188,8 +174,8 @@ def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport
     strict = strict_ideal_basis(nest)
     if alg is None:
         alg = alg_basis(nest)
-    index = _nilpotency_index_of(nest, strict.basis)
-    rad = _trace_form_radical(alg)
+    index = ideal_nilpotency_index(strict)
+    rad = radical_basis_oracle(alg)
     quotient = alg.dim - strict.dim
     expected = sum(d * d for d in nest.atoms)
     return RadicalReport(
@@ -237,8 +223,9 @@ def ordsum_analyze(
     first: Nest, second: Nest, ops, alg: AlgebraBasis | None = None
 ) -> list[OrdinalSumReport]:
     """Check the block characterizations of membership for a stacked nest,
-    one report per operator.  Every operator is validated before the
-    trace-form radicals of first, second and the sum are built, once for all.
+    one report per operator.  Every operator is validated before
+    `radical_basis_oracle` runs on the algebras of first, second and the sum,
+    once for all.
 
     A caller that has already built the summed nest's `alg_basis` passes it
     as `alg`, as for `radical_report`.
@@ -248,8 +235,8 @@ def ordsum_analyze(
         raise ValueError("alg is not the algebra basis of the ordinal sum")
     for t in ops:
         _check_operator(summed, t)
-    rad1, rad2 = map(radical_basis_oracle, (first, second))
-    rad = radical_basis_oracle(summed) if alg is None else _trace_form_radical(alg)
+    rad1, rad2 = (radical_basis_oracle(alg_basis(nest)) for nest in (first, second))
+    rad = radical_basis_oracle(alg_basis(summed) if alg is None else alg)
     sides = (slice(None, first.ambient_dim), slice(first.ambient_dim, None))
 
     def report(t: Matrix) -> OrdinalSumReport:

@@ -14,9 +14,10 @@ from .nests import Nest, new_nest
 from .subspaces import Subspace, span_of
 
 
-def random_scalar(field: Field, rng: random.Random, lo: int = -3, hi: int = 3):
+def random_scalar(field: Field, rng: random.Random):
+    """Uniform in GF(p), or an integer in [-3, 3] over Q."""
     if field.is_rationals:
-        return field.coerce(rng.randint(lo, hi))
+        return field.coerce(rng.randint(-3, 3))
     return rng.randrange(field.p)
 
 

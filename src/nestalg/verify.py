@@ -137,18 +137,22 @@ def reflexivity_suite(max_dim: int = 4) -> list[dict]:
     max_dim = min(max_dim, 4)
     for n in range(1, max_dim + 1):
         for nest in iter_nests(GF2, n):
-            lat_alg = invariant_lattice(alg_basis(nest).basis, GF2, n)
-            ones = all_rank_ones_in_alg(nest)
-            lat_ones = invariant_lattice([r.matrix for r in ones], GF2, n)
-            check_reflexivity_lattice(ck, nest, lat_alg, lat_ones, nest_to_json(nest))
+            check_reflexivity_lattice(ck, nest, nest_to_json(nest))
     return ck.verdicts()
 
 
-def check_reflexivity_lattice(ck: _Check, nest, lat_alg, lat_ones, ce) -> None:
-    """The invariant lattices of the algebra and of its rank-one members."""
+def check_reflexivity_lattice(ck: _Check, nest, ce) -> tuple[list, list, int]:
+    """The invariant lattices of the algebra and of its rank-one members
+    (`invariant_lattice`, `all_rank_ones_in_alg`) over a small finite field
+    are the chain.  Returns both lattices and the number of rank-ones."""
+    f, n = nest.field, nest.ambient_dim
+    lat_alg = invariant_lattice(alg_basis(nest).basis, f, n)
+    ones = all_rank_ones_in_alg(nest)
+    lat_ones = invariant_lattice([r.matrix for r in ones], f, n)
     chain = list(nest.chain)
     ck.record("chain-recovered-from-algebra", lat_alg == chain, ce)
     ck.record("chain-recovered-from-rank-ones", lat_ones == chain, ce)
+    return lat_alg, lat_ones, len(ones)
 
 
 def _strict_dim(atoms) -> int:

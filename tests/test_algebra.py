@@ -582,6 +582,44 @@ def test_reflexivity_witness_rejects_members():
         reflexivity_witness(nest, zero_subspace(QQ, 2))
 
 
+def witness_search_reference(nest, m):
+    """The earlier witness search: basis rows of m, then their pairwise sums,
+    each transporter re-checked to move its x out of m."""
+    f = nest.field
+    rows = m.basis.entries
+    candidates = list(rows)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            candidates.append(tuple(f.add(a, b) for a, b in zip(rows[i], rows[j])))
+    for x in candidates:
+        for y in nest.principal(x).basis.entries:
+            if not m.contains(y):
+                r = transporter(nest, x, y)
+                if not m.contains(r.matrix.apply(x)):
+                    return r, x
+    raise ValueError("no witness found")
+
+
+def test_reflexivity_witness_matches_reference_search():
+    pairs = 0
+    for field, top in ((GF2, 3), (GF3, 3)):
+        for n in range(1, top + 1):
+            subspaces = enumerate_subspaces(field, n)
+            for nest in iter_nests(field, n):
+                for m in subspaces:
+                    if m not in nest.chain:
+                        assert reflexivity_witness(nest, m) == witness_search_reference(nest, m)
+                        pairs += 1
+    assert pairs == 2397
+    rng = random.Random(48)
+    subspaces = enumerate_subspaces(GF2, 4)
+    for _ in range(200):
+        nest = random_nest(GF2, 4, rng)
+        for m in subspaces:
+            if m not in nest.chain:
+                assert reflexivity_witness(nest, m) == witness_search_reference(nest, m)
+
+
 def test_matrix_span_helpers():
     e11 = qmat([[1, 0], [0, 0]])
     e12 = qmat([[0, 1], [0, 0]])

@@ -196,6 +196,21 @@ def test_radical_over_q_with_witnesses(tmp_path):
         assert w["singular"] is True
 
 
+@pytest.mark.parametrize("cases, wanted", [(0, 0), (3, 3), (7, 5)])
+def test_radical_witness_count_follows_cases(tmp_path, cases, wanted):
+    spec = write(tmp_path, "nest.json", FLAG3)
+    code, report = run_main("radical", "--input", spec, "--cases", str(cases))
+    assert code == 0
+    assert report["inputs"]["cases"] == cases
+    assert len(report["results"]["exclusion_witnesses"]) == wanted
+    verdicts = {v["property"]: v for v in report["verdicts"]}
+    assert verdicts["exclusion-witness-count"]["pass"] is True
+    assert verdicts["exclusion-witness-count"]["cases"] == 1
+    assert ("witness-kills-x" in verdicts) == (wanted > 0)
+    if wanted:
+        assert verdicts["witness-kills-x"]["cases"] == wanted
+
+
 def test_reflexivity_finite_field(tmp_path):
     doc = {
         "field": {"p": 2},
@@ -457,13 +472,13 @@ def test_failing_verdict_carries_witness(tmp_path, monkeypatch):
 
 
 def test_gf2_radical_verdict_is_computed(tmp_path, monkeypatch):
-    real = radical._trace_form_radical
+    real = radical.radical_basis_oracle
 
     def dropping(alg):
         rad = real(alg)
         return type(rad)(rad.nest, rad.kind, rad.basis[1:])
 
-    monkeypatch.setattr(radical, "_trace_form_radical", dropping)
+    monkeypatch.setattr(radical, "radical_basis_oracle", dropping)
     doc = {"field": {"p": 2}, "dim": 3, "chain": [[["1", "0", "0"]]]}
     nest, _ = nest_from_json(doc)
     assert radical.radical_report(nest).equal is False

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nestalg import algebra, radical
-from nestalg.algebra import alg_basis, in_alg, matrix_span_basis, rank_one
+from nestalg.algebra import STRICT, AlgebraBasis, alg_basis, in_alg, matrix_span_basis, rank_one
 from nestalg.fields import GF, GF2, GF3, QQ
 from nestalg.matrices import Matrix, kernel_basis, try_invert
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, ordinal_sum, trivial_nest
@@ -59,9 +59,9 @@ def test_nilpotency_index():
 
 
 def test_ideal_nilpotency_index_frozen():
-    assert ideal_nilpotency_index(flag_nest(QQ, 3)) == 3
-    assert ideal_nilpotency_index(trivial_nest(QQ, 2)) == 1
-    assert ideal_nilpotency_index(coordinate_nest(QQ, (2, 2))) == 2
+    assert ideal_nilpotency_index(strict_ideal_basis(flag_nest(QQ, 3))) == 3
+    assert ideal_nilpotency_index(strict_ideal_basis(trivial_nest(QQ, 2))) == 1
+    assert ideal_nilpotency_index(strict_ideal_basis(coordinate_nest(QQ, (2, 2)))) == 2
 
 
 def test_ideal_nilpotency_bounded_by_atoms():
@@ -69,7 +69,7 @@ def test_ideal_nilpotency_bounded_by_atoms():
     for field in (QQ, GF2):
         for _ in range(15):
             nest = random_nest(field, rng.randint(1, 5), rng)
-            assert ideal_nilpotency_index(nest) <= len(nest.atoms)
+            assert ideal_nilpotency_index(strict_ideal_basis(nest)) <= len(nest.atoms)
 
 
 def _index_by_product_spans(nest, basis):
@@ -88,7 +88,7 @@ def test_ideal_nilpotency_index_matches_product_spans():
     for field in (QQ, GF2, GF3):
         for _ in range(12):
             nest = random_nest(field, rng.randint(1, 5), rng)
-            index = ideal_nilpotency_index(nest)
+            index = ideal_nilpotency_index(strict_ideal_basis(nest))
             assert index == _index_by_product_spans(nest, strict_ideal_basis(nest).basis)
             assert index == len(nest.atoms)
 
@@ -97,11 +97,11 @@ def test_nilpotency_index_of_rejects_non_nilpotent_spans():
     nest = flag_nest(QQ, 3)
     ident = Matrix.identity(QQ, 3)
     with pytest.raises(AssertionError, match="not nilpotent"):
-        radical._nilpotency_index_of(nest, (ident,))
+        ideal_nilpotency_index(AlgebraBasis(nest, STRICT, (ident,)))
     # J F^n shrinks once, then stays at span{e1}
     stalls = (qmat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), qmat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(AssertionError, match="not nilpotent"):
-        radical._nilpotency_index_of(nest, stalls)
+        ideal_nilpotency_index(AlgebraBasis(nest, STRICT, stalls))
 
 
 def test_nilpotency_index_of_empty_basis():
@@ -109,8 +109,8 @@ def test_nilpotency_index_of_empty_basis():
     for field in (QQ, GF2):
         nest = trivial_nest(field, 3)
         assert len(nest.atoms) == 1
-        assert radical._nilpotency_index_of(nest, ()) == 1
-        assert radical._nilpotency_index_of(nest, strict_ideal_basis(nest).basis) == 1
+        assert ideal_nilpotency_index(AlgebraBasis(nest, STRICT, ())) == 1
+        assert ideal_nilpotency_index(strict_ideal_basis(nest)) == 1
 
 
 def _radical_by_scale_and_add(alg):
@@ -131,7 +131,7 @@ def test_radical_oracle_matches_scale_and_add():
     rng = random.Random(57)
     for _ in range(12):
         nest = random_nest(QQ, rng.randint(1, 5), rng)
-        rad = radical_basis_oracle(nest).basis
+        rad = radical_basis_oracle(alg_basis(nest)).basis
         assert rad == _radical_by_scale_and_add(alg_basis(nest))
         assert rad == strict_ideal_basis(nest).basis  # both canonical
 
@@ -173,10 +173,43 @@ def test_quasi_inverse_preconditions():
 
 def test_radical_oracle_matches_ideal():
     nest = flag_nest(QQ, 3)
-    rad = radical_basis_oracle(nest)
+    rad = radical_basis_oracle(alg_basis(nest))
     strict = strict_ideal_basis(nest)
     assert rad.dim == 3
     assert rad.basis == strict.basis  # both canonical
+
+
+def test_radical_oracle_needs_the_algebra_basis():
+    nest = flag_nest(QQ, 3)
+    for wrong in (strict_ideal_basis(nest), radical_basis_oracle(alg_basis(nest))):
+        with pytest.raises(ValueError, match="algebra basis"):
+            radical_basis_oracle(wrong)
+
+
+def test_radical_layer_runs_through_public_functions(monkeypatch):
+    calls = {"index": [], "oracle": []}
+    real_index, real_oracle = radical.ideal_nilpotency_index, radical.radical_basis_oracle
+
+    def index(ideal):
+        calls["index"].append(ideal)
+        return real_index(ideal)
+
+    def oracle(alg):
+        calls["oracle"].append(alg)
+        return real_oracle(alg)
+
+    monkeypatch.setattr(radical, "ideal_nilpotency_index", index)
+    monkeypatch.setattr(radical, "radical_basis_oracle", oracle)
+    nest = flag_nest(QQ, 3)
+    rep = radical_report(nest)
+    assert calls["index"] == [rep.strict_basis]
+    assert calls["oracle"] == [alg_basis(nest)]
+    calls["oracle"].clear()
+    first, second = flag_nest(QQ, 2), trivial_nest(QQ, 1)
+    ordsum_analyze(first, second, [Matrix.identity(QQ, 3)])
+    summed = ordinal_sum(first, second)
+    assert calls["oracle"] == [alg_basis(first), alg_basis(second), alg_basis(summed)]
+    assert len(calls["index"]) == 1
 
 
 def test_exclusion_witness_frozen():
@@ -281,7 +314,7 @@ def test_trace_form_radical_is_canonical():
     for field in (QQ, GF2, GF3):
         for _ in range(8):
             alg = alg_basis(random_nest(field, rng.randint(1, 5), rng))
-            rad = radical._trace_form_radical(alg)
+            rad = radical_basis_oracle(alg)
             n = alg.nest.ambient_dim
             assert rad.basis == matrix_span_basis(rad.basis, field, (n, n))
 
