@@ -37,11 +37,17 @@ class AlgebraBasis:
         return len(self.basis)
 
     @cached_property
-    def span(self) -> Subspace:
-        """The span in F^(n^2) of the vectorized basis, built on first use from
-        the rows as they are: they are already in RREF, with unit pivot columns."""
+    def vectorized(self) -> Matrix:
+        """The vectorized basis operators as the rows of one matrix, in basis
+        order, built on first use."""
         f, size = self.nest.field, self.nest.ambient_dim ** 2
-        return Subspace(f, size, Matrix._of(f, tuple(b.vectorize() for b in self.basis), size))
+        return Matrix._of(f, tuple(b.vectorize() for b in self.basis), size)
+
+    @cached_property
+    def span(self) -> Subspace:
+        """The span in F^(n^2) of the vectorized basis, built on first use by
+        one rref, so membership holds for a basis in any form."""
+        return span_of(self.vectorized.entries, self.nest.field, self.nest.ambient_dim ** 2)
 
     def contains(self, t: Matrix) -> bool:
         """Is t in the span: is its residual against `span` zero?"""
@@ -81,20 +87,31 @@ def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
     return _operators(f, kernel.entries, (n, n))
 
 
+def _fresh_rows(members) -> list[list[Vector]]:
+    """For each of the increasing subspaces `members`, its RREF basis rows
+    whose pivot is not a pivot of the previous member (of {0} for the
+    first): a complement of the previous member within it.  Over the
+    nonzero members of a chain they join into a basis of F^n adapted to
+    the chain, each member spanned by a prefix."""
+    out = []
+    pred_pivots: tuple[int, ...] = ()
+    for m in members:
+        out.append([v for v, pc in zip(m.basis.entries, m.pivots) if pc not in pred_pivots])
+        pred_pivots = m.pivots
+    return out
+
+
 def _constraint_rows(nest: Nest, pairs) -> tuple:
     """The constraints of T . source ⊆ target on the n^2 entries of T, row-major:
     a_i * v_j against T_ij for an annihilator row a of the target and a row v
     of the source.  A source's predecessor is the previous pair's source (or
     {0}), already mapped into the target by that pair, so v runs only over
-    the source's RREF rows whose pivot is not a pivot of the predecessor: a
-    complement of it, which makes the rows exactly as many as their rank."""
+    the source's `_fresh_rows`, which makes the rows exactly as many as their
+    rank."""
     f = nest.field
     zero = f.zero()
     rows: list = []
-    pred_pivots: tuple[int, ...] = ()
-    for source, target in pairs:
-        fresh = [v for v, pc in zip(source.basis.entries, source.pivots) if pc not in pred_pivots]
-        pred_pivots = source.pivots
+    for (_, target), fresh in zip(pairs, _fresh_rows(source for source, _ in pairs)):
         for a in target.annihilator().basis.entries:
             rows += [
                 tuple([f.mul(ai, vj) if ai and vj else zero for ai in a for vj in v]) for v in fresh

@@ -117,13 +117,13 @@ def radical_basis_oracle(alg: AlgebraBasis) -> AlgebraBasis:
     if alg.kind != FULL:
         raise ValueError("the trace-form radical needs the algebra basis")
     f, n = alg.nest.field, alg.nest.ambient_dim
-    stacked = alg.span.basis
+    stacked = alg.vectorized
     # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
     vec_transposes = tuple(b.transpose().vectorize() for b in alg.basis)
     gram = stacked @ Matrix._of(f, vec_transposes, n * n).transpose()
-    # The kernel coordinates and the stacked algebra basis are both in RREF,
-    # and the latter's pivot columns are unit columns, so their product is
-    # already the canonical basis of the span.
+    # The kernel coordinates and the stacked algebra basis (as alg_basis
+    # emits it) are both in RREF, and the latter's pivot columns are unit
+    # columns, so their product is already the canonical basis of the span.
     rows = (kernel_basis(gram) @ stacked).entries
     return AlgebraBasis(alg.nest, RADICAL, _operators(f, rows, (n, n)))
 

@@ -74,7 +74,7 @@ def random_span_element(basis: AlgebraBasis, rng: random.Random, nonzero: bool =
     f, n = basis.nest.field, basis.nest.ambient_dim
     while True:
         coeffs = Matrix._of(f, (tuple(random_scalar(f, rng) for _ in basis.basis),), basis.dim)
-        [t] = _operators(f, (coeffs @ basis.span.basis).entries, (n, n))
+        [t] = _operators(f, (coeffs @ basis.vectorized).entries, (n, n))
         if not nonzero or not t.is_zero():
             return t
         if not basis.basis:

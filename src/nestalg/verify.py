@@ -16,6 +16,7 @@ import random
 
 from . import c00
 from .algebra import (
+    _fresh_rows,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -162,22 +163,101 @@ def _strict_dim(atoms) -> int:
 
 def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     """The bases of the algebra and of its strictly-shifting ideal
-    (`alg_basis`, `strict_ideal_basis`).  A basis not closed under products
-    is witnessed by the first pair (i, j) with alg.basis[i] @ alg.basis[j]
-    outside its span."""
+    (`alg_basis`, `strict_ideal_basis`), decided in coordinates adapted to
+    the chain (`_adapted_conjugates`): T leaves every member invariant iff
+    S^-1 T S is block upper triangular over the atoms, and shifts every
+    member into its predecessor iff it is strictly so.  Conjugation is an
+    algebra automorphism, so the span of alg.basis is closed under products
+    iff the span of its conjugates is (`_span_closed`).  Only a span that
+    is not closed runs the scan `_closure_escape`, whose first pair (i, j)
+    with alg.basis[i] @ alg.basis[j] outside the span is the witness."""
     atoms = nest.atoms
     ck.record("algebra-dimension", alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms), ce)
     ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
-    ck.record("basis-members-in-algebra", all(in_alg(nest, b) for b in alg.basis), ce)
-    ck.record("strict-members-shift", all(in_strict_ideal(nest, b) for b in strict.basis), ce)
-    escape = _closure_escape(alg)
-    ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
+    conjugates = _adapted_conjugates(nest, alg.basis + strict.basis)
+    alg_conj, strict_conj = conjugates[: alg.dim], conjugates[alg.dim :]
+    # the leading columns each row r must leave zero: those of the blocks
+    # before r's in the algebra, and also those of r's own in the ideal
+    zeros: list[tuple[int, int]] = []
+    for a in atoms:
+        zeros += [(len(zeros), len(zeros) + a)] * a
+    ck.record(
+        "basis-members-in-algebra",
+        all(not any(row[: zeros[r][0]]) for c in alg_conj for r, row in enumerate(c)),
+        ce,
+    )
+    ck.record(
+        "strict-members-shift",
+        all(not any(row[: zeros[r][1]]) for c in strict_conj for r, row in enumerate(c)),
+        ce,
+    )
+    closed = _span_closed(nest.field, nest.ambient_dim, alg_conj)
+    escape = None if closed else _closure_escape(alg)
+    ck.record("closed-under-product", closed, {"nest": ce, "product": escape})
+
+
+def _adapted_conjugates(nest, ops) -> list[tuple]:
+    """The entries of S^-1 t S for each operator t of ops, where the columns
+    of S are the `_fresh_rows` of the nonzero chain members in order, so
+    that member k is spanned by the first dim(member k) columns.  Two
+    products: the ops stacked @ S, then S^-1 @ those side by side."""
+    f, n = nest.field, nest.ambient_dim
+    s = Matrix._of(f, tuple(v for rows in _fresh_rows(nest.chain[1:]) for v in rows), n).transpose()
+    right = (Matrix._of(f, tuple(r for t in ops for r in t.entries), n) @ s).entries
+    side_by_side = tuple(tuple(itertools.chain(*right[r::n])) for r in range(n))
+    rows = (try_invert(s) @ Matrix._of(f, side_by_side, len(ops) * n)).entries
+    return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ops))]
+
+
+def _span_closed(field, n, ops) -> bool:
+    """Is the span of the n x n operators ops (entry tuples) closed under
+    products?  One rref of the vectorized ops; then each product of two
+    reduced rows is formed from their nonzero entries alone, and only for
+    pairs where some column of the left meets a nonzero row of the right.
+    As the pivot columns are unit columns, a product's entry at a row's
+    pivot is that row's coefficient, so it lies in the span iff those
+    multiples of the rows cancel it entirely."""
+    p = field.p
+    red = rref(Matrix._of(field, tuple(tuple(itertools.chain(*t)) for t in ops), n * n))
+    reduced = red.matrix.entries[: red.rank]
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in reduced]
+    by_pivot = {row[0][0]: row for row in rows}
+    # each reduced row's nonzero entries grouped by operator row, and the
+    # reduced rows with a nonzero entry in each operator row
+    grouped = []
+    users: dict[int, list[int]] = {}
+    for b, row in enumerate(rows):
+        g: dict[int, list] = {}
+        for k, x in row:
+            g.setdefault(k // n, []).append((k % n, x))
+        grouped.append(g)
+        for i in g:
+            users.setdefault(i, []).append(b)
+    for row in rows:
+        left = [(*divmod(k, n), x) for k, x in row]
+        for b in {b for _, j, _ in left for b in users.get(j, ())}:
+            g = grouped[b]
+            product: dict[int, object] = {}
+            for i, j, x in left:
+                for l, y in g.get(j, ()):
+                    product[i * n + l] = product.get(i * n + l, 0) + x * y
+            residual = dict(product)
+            for k, c in product.items():
+                if p is not None:
+                    c %= p
+                if c and k in by_pivot:
+                    for q, x in by_pivot[k]:
+                        residual[q] = residual.get(q, 0) - c * x
+            if any(x % p if p is not None else x for x in residual.values()):
+                return False
+    return True
 
 
 def _closure_escape(alg) -> list[int] | None:
     """The first pair [i, j], in row-major order, with alg.basis[i] @
-    alg.basis[j] outside the span of alg.basis, or None.  All products of
-    one left factor come from one product with the basis side by side."""
+    alg.basis[j] outside the span of alg.basis, or None; the witness scan
+    for a span `_span_closed` has found not closed.  All products of one
+    left factor come from one product with the basis side by side."""
     f, n = alg.nest.field, alg.nest.ambient_dim
     side_by_side = Matrix._of(
         f, tuple(tuple([x for b in alg.basis for x in b.entries[r]]) for r in range(n)), alg.dim * n
@@ -346,19 +426,19 @@ def dual_suite(seed: int = 0, cases: int = 100) -> list[dict]:
         nest = random_nest(QQ, 4, rng)
         check_dual(ck, nest, nest.dual(), nest_to_json(nest))
     subs = enumerate_subspaces(GF2, 3)
+    # (meet, join, meet of annihilators, join of annihilators) of each
+    # member and pair; a triple extends its leading pair's by one member
+    folds = {(i,): (s, s, s.annihilator(), s.annihilator()) for i, s in enumerate(subs)}
     for fam in itertools.chain(
-        itertools.combinations(subs, 2), itertools.combinations(subs, 3)
+        itertools.combinations(range(len(subs)), 2), itertools.combinations(range(len(subs)), 3)
     ):
-        meets = fam[0]
-        joins = fam[0]
-        ann_meet = fam[0].annihilator()
-        ann_join = fam[0].annihilator()
-        for s in fam[1:]:
-            meets = meets.meet(s)
-            joins = joins.join(s)
-            ann_meet = ann_meet.meet(s.annihilator())
-            ann_join = ann_join.join(s.annihilator())
-        ce = {"family": [subspace_to_json(s) for s in fam]}
+        meets, joins, ann_meet, ann_join = folds[fam[:-1]]
+        s = subs[fam[-1]]
+        meets, joins = meets.meet(s), joins.join(s)
+        ann_meet, ann_join = ann_meet.meet(s.annihilator()), ann_join.join(s.annihilator())
+        if len(fam) == 2:
+            folds[fam] = meets, joins, ann_meet, ann_join
+        ce = {"family": [subspace_to_json(subs[i]) for i in fam]}
         ck.record("annihilator-of-join", ann_meet == joins.annihilator(), ce)
         ck.record("annihilator-of-meet", ann_join == meets.annihilator(), ce)
     return ck.verdicts()

@@ -15,13 +15,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nestalg import cli, radical, verify
-from nestalg.algebra import FULL, AlgebraBasis, alg_basis, idempotent_onto, in_alg, rank_decompose
+from nestalg.algebra import (
+    FULL,
+    STRICT,
+    AlgebraBasis,
+    alg_basis,
+    idempotent_onto,
+    in_alg,
+    rank_decompose,
+)
 from nestalg.fields import GF2, QQ
 from nestalg.matrices import Matrix
 from nestalg.nests import flag_nest, ordinal_sum
-from nestalg.radical import ordsum_analyze, strict_ideal_basis
-from nestalg.sampling import random_matrix, random_nest
-from nestalg.serialize import matrix_to_json, nest_from_json
+from nestalg.radical import in_strict_ideal, ordsum_analyze, strict_ideal_basis
+from nestalg.sampling import random_matrix, random_nest, random_span_element
+from nestalg.serialize import matrix_to_json, nest_from_json, nest_to_json
 from nestalg.subspaces import span_of
 
 FLAG3 = {
@@ -599,6 +607,69 @@ def test_closed_under_product_is_computed():
                     escapes[swap is outside] += 1
     # every swap for a non-member fails, and so do most perturbations
     assert escapes[True] == swaps and 2 * escapes[False] > swaps
+
+
+def test_basis_not_in_rref_spans_the_algebra():
+    # E11 + E12, E11, E22 span the algebra of the flag of Q^2 without being
+    # in RREF: membership and closure go through one elimination of the span
+    nest = flag_nest(QQ, 2)
+    e11, e12, e22 = (Matrix(QQ, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]))
+    basis = AlgebraBasis(nest, FULL, (e11 + e12, e11, e22))
+    assert basis.contains(e12)
+    assert basis.span == alg_basis(nest).span
+    ck = verify._Check()
+    verify.check_alg_basis(ck, nest, basis, strict_ideal_basis(nest), None)
+    assert all(v["pass"] for v in ck.verdicts())
+
+
+def membership_verdicts(nest, alg, strict):
+    ck = verify._Check()
+    verify.check_alg_basis(ck, nest, alg, strict, None)
+    passes = {v["property"]: v["pass"] for v in ck.verdicts()}
+    return passes["basis-members-in-algebra"], passes["strict-members-shift"]
+
+
+def test_membership_verdicts_are_computed():
+    nest = flag_nest(QQ, 3)
+    alg, strict = alg_basis(nest), strict_ideal_basis(nest)
+    lower = Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    ident = Matrix.identity(QQ, 3)
+    assert membership_verdicts(nest, alg, strict) == (True, True)
+    swapped = AlgebraBasis(nest, FULL, alg.basis[:-1] + (lower,))
+    assert membership_verdicts(nest, swapped, strict) == (False, True)
+    swapped = AlgebraBasis(nest, STRICT, (ident,) + strict.basis[1:])
+    assert membership_verdicts(nest, alg, swapped) == (True, False)
+
+    # on seeded random nests, each verdict is the per-member test of its basis
+    rng = random.Random(11)
+    outcomes = set()
+    for field in (QQ, GF2):
+        for _ in range(6):
+            nest = random_nest(field, 3, rng)
+            alg, strict = alg_basis(nest), strict_ideal_basis(nest)
+            for _ in range(4):
+                swap = rng.choice([random_matrix(field, 3, 3, rng), random_span_element(alg, rng),
+                                   random_span_element(strict, rng)])
+                k, m = rng.randrange(alg.dim), rng.randrange(max(strict.dim, 1))
+                tampered_alg = AlgebraBasis(nest, FULL, alg.basis[:k] + (swap,) + alg.basis[k + 1:])
+                tampered_strict = AlgebraBasis(nest, STRICT, strict.basis[:m] + (swap,)
+                                               + strict.basis[m + 1:])
+                want = (all(in_alg(nest, b) for b in tampered_alg.basis),
+                        all(in_strict_ideal(nest, b) for b in tampered_strict.basis))
+                assert membership_verdicts(nest, tampered_alg, tampered_strict) == want
+                outcomes.add(want)
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("spec", ["trivial-q20", "random-q10"])
+def test_alg_basis_scales(tmp_path, spec):
+    # about 0.5 s each on a 2-vCPU host, and 10 to 30 s with a closure check
+    # of d^2 residuals; the timeout leaves room for a slow host
+    doc = ({"field": "Q", "dim": 20, "chain": []} if spec == "trivial-q20"
+           else nest_to_json(random_nest(QQ, 10, random.Random(3))))
+    proc = run_cli("alg-basis", "--input", write(tmp_path, "nest.json", doc), timeout=10)
+    assert proc.returncode == 0
+    assert all(v["pass"] for v in load_report(proc)["verdicts"])
 
 
 def test_verify_report_is_pinned():
