@@ -80,13 +80,23 @@ def _read_json_file(path: str, label: str):
 
 
 def _matrix_arg(docs, nest) -> Matrix:
-    doc = docs.get("matrix")
-    if doc is None:
+    if "matrix" not in docs:
         raise SpecError("matrix", "this command needs --matrix FILE")
+    doc = docs["matrix"]
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise SpecError("matrix", "expected an object with key 'matrix'")
     n = nest.ambient_dim
     return matrix_from_json(nest.field, doc["matrix"], "matrix.matrix", n, n)
+
+
+def _subspace_arg(docs, nest):
+    """The span of the vectors of a {"subspace": [vectors]} --matrix payload."""
+    doc = docs["matrix"]
+    if not isinstance(doc, dict) or not isinstance(doc.get("subspace"), list):
+        raise SpecError("matrix", "expected {\"subspace\": [vectors]}")
+    n = nest.ambient_dim
+    vectors = vectors_from_json(nest.field, doc["subspace"], n, "matrix.subspace")
+    return span_of(vectors, nest.field, n)
 
 
 def _input_doc(docs):
@@ -158,11 +168,7 @@ def _decompose_rank(nest, t):
 
 
 def _decompose_idempotent(nest, docs):
-    rows = docs["matrix"]["subspace"]
-    if not isinstance(rows, list):
-        raise SpecError("matrix.subspace", "expected an array of basis vectors")
-    n = nest.ambient_dim
-    m = span_of(vectors_from_json(nest.field, rows, n, "matrix.subspace"), nest.field, n)
+    m = _subspace_arg(docs, nest)
     if m.dim == 0:
         raise SpecError("matrix.subspace", "no idempotent with zero range")
     p, parts = idempotent_onto(nest, m)
@@ -208,8 +214,6 @@ def cmd_decompose(args, docs, inputs):
     if mode == "rank":
         return _decompose_rank(nest, _matrix_arg(docs, nest))
     if mode == "idempotent":
-        if "subspace" not in doc:
-            raise SpecError("matrix", "idempotent mode expects {\"subspace\": [vectors]}")
         return _decompose_idempotent(nest, docs)
     return _decompose_approximant(nest, docs)
 
@@ -257,13 +261,8 @@ def cmd_dual(args, docs, inputs):
 def cmd_reflexivity(args, docs, inputs):
     nest, _ = _nest_arg(docs)
     ck = verify._Check()
-    if docs.get("matrix") is not None:
-        doc = docs["matrix"]
-        if not isinstance(doc, dict) or not isinstance(doc.get("subspace"), list):
-            raise SpecError("matrix", "witness mode expects {\"subspace\": [vectors]}")
-        n = nest.ambient_dim
-        rows = vectors_from_json(nest.field, doc["subspace"], n, "matrix.subspace")
-        m = span_of(rows, nest.field, n)
+    if "matrix" in docs:
+        m = _subspace_arg(docs, nest)
         op, x = reflexivity_witness(nest, m)
         image = op.matrix.apply(x)
         results = {
@@ -306,7 +305,7 @@ def cmd_ordsum(args, docs, inputs):
     ck = verify._Check()
     ce = {"first": nest_to_json(first), "second": nest_to_json(second)}
     verify.check_ordinal_sum(ck, first, second, summed, ce)
-    if docs.get("matrix") is not None:
+    if "matrix" in docs:
         t = _matrix_arg(docs, summed)
         [rep] = ordsum_analyze(first, second, [t])
         results["analysis"] = ordsum_report_to_json(rep)

@@ -146,7 +146,7 @@ class Field:
     def parse_scalar(self, obj) -> Scalar:
         try:
             return self.coerce(obj)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar {obj!r} for {self!r}") from exc
 
 

@@ -8,7 +8,7 @@ JSON path of the offending value.
 from __future__ import annotations
 
 from .algebra import AlgebraBasis, RankOneOp
-from .c00 import SupportNest, SupportSet, TailFunctional, ZigzagReport
+from .c00 import SupportNest, TailFunctional, ZigzagReport
 from .fields import QQ, Field
 from .matrices import Matrix
 from .nests import Nest, new_nest
@@ -85,18 +85,6 @@ def matrix_to_json(m: Matrix) -> list:
 
 def subspace_to_json(s: Subspace) -> dict:
     return {"ambient": s.ambient_dim, "basis": matrix_to_json(s.basis)}
-
-
-def subspace_from_json(field: Field, obj, path: str) -> Subspace:
-    if not isinstance(obj, dict) or "basis" not in obj:
-        raise SpecError(path, "expected {\"ambient\": n, \"basis\": [...]}")
-    ambient = obj.get("ambient")
-    if type(ambient) is not int or ambient < 1:
-        raise SpecError(f"{path}.ambient", "expected a positive integer")
-    vectors = obj["basis"]
-    if not isinstance(vectors, list):
-        raise SpecError(f"{path}.basis", "expected an array of vectors")
-    return span_of(vectors_from_json(field, vectors, ambient, f"{path}.basis"), field, ambient)
 
 
 def nest_to_json(nest: Nest, name: str | None = None) -> dict:
@@ -189,12 +177,6 @@ def ordsum_report_to_json(r: OrdinalSumReport) -> dict:
         "consistent": r.consistent,
         "radical": {"predicted": r.radical_predicted, "direct": r.radical_direct},
     }
-
-
-def support_set_to_json(s: SupportSet):
-    if s.kind in ("initial", "tail"):
-        return {"kind": s.kind, "index": s.index}
-    return {"kind": s.kind}
 
 
 def support_nest_to_json(n: SupportNest) -> dict:

@@ -168,32 +168,34 @@ def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     S^-1 T S is block upper triangular over the atoms, and shifts every
     member into its predecessor iff it is strictly so.  Conjugation is an
     algebra automorphism, so the span of alg.basis is closed under products
-    iff the span of its conjugates is (`_span_closed`).  Only a span that
-    is not closed runs the scan `_closure_escape`, whose first pair (i, j)
-    with alg.basis[i] @ alg.basis[j] outside the span is the witness."""
+    iff the span of its conjugates is.  A span of matrix units closed under
+    E_rc E_cd = E_rd, which every correct basis gives, passes on its unit
+    pattern (`_span_closed`); any other span runs the scan
+    `_closure_escape`, which decides closure and names the first pair
+    (i, j) with alg.basis[i] @ alg.basis[j] outside the span."""
     atoms = nest.atoms
     ck.record("algebra-dimension", alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms), ce)
     ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
     conjugates = _adapted_conjugates(nest, alg.basis + strict.basis)
     alg_conj, strict_conj = conjugates[: alg.dim], conjugates[alg.dim :]
-    # the leading columns each row r must leave zero: those of the blocks
-    # before r's in the algebra, and also those of r's own in the ideal
-    zeros: list[tuple[int, int]] = []
-    for a in atoms:
-        zeros += [(len(zeros), len(zeros) + a)] * a
+    # the atom each adapted coordinate belongs to: entry (r, c) must be zero
+    # when block[r] > block[c] in the algebra, and when block[r] >= block[c]
+    # in the ideal
+    block = [k for k, a in enumerate(atoms) for _ in range(a)]
     ck.record(
         "basis-members-in-algebra",
-        all(not any(row[: zeros[r][0]]) for c in alg_conj for r, row in enumerate(c)),
+        all(not x for t in alg_conj for r, row in enumerate(t)
+            for x, b in zip(row, block) if block[r] > b),
         ce,
     )
     ck.record(
         "strict-members-shift",
-        all(not any(row[: zeros[r][1]]) for c in strict_conj for r, row in enumerate(c)),
+        all(not x for t in strict_conj for r, row in enumerate(t)
+            for x, b in zip(row, block) if block[r] >= b),
         ce,
     )
-    closed = _span_closed(nest.field, nest.ambient_dim, alg_conj)
-    escape = None if closed else _closure_escape(alg)
-    ck.record("closed-under-product", closed, {"nest": ce, "product": escape})
+    escape = None if _span_closed(nest.field, nest.ambient_dim, alg_conj) else _closure_escape(alg)
+    ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
 
 
 def _adapted_conjugates(nest, ops) -> list[tuple]:
@@ -210,65 +212,32 @@ def _adapted_conjugates(nest, ops) -> list[tuple]:
 
 
 def _span_closed(field, n, ops) -> bool:
-    """Is the span of the n x n operators ops (entry tuples) closed under
-    products?  One rref of the vectorized ops; then each product of two
-    reduced rows is formed from their nonzero entries alone, and only for
-    pairs where some column of the left meets a nonzero row of the right.
-    As the pivot columns are unit columns, a product's entry at a row's
-    pivot is that row's coefficient, so it lies in the span iff those
-    multiples of the rows cancel it entirely."""
-    p = field.p
+    """Is the span of the n x n operators ops (entry tuples) a span of
+    matrix units closed under products?  One rref of the vectorized ops: if
+    every reduced row has one nonzero entry, the span is that of the units
+    E_rc at the pivots, and as E_rc E_cd = E_rd it is closed iff
+    cols[c] <= cols[r] for every unit E_rc, where cols[r] holds the columns
+    of the units in row r.  False for any other span, whose closure is left
+    to `_closure_escape`."""
     red = rref(Matrix._of(field, tuple(tuple(itertools.chain(*t)) for t in ops), n * n))
-    reduced = red.matrix.entries[: red.rank]
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in reduced]
-    by_pivot = {row[0][0]: row for row in rows}
-    # each reduced row's nonzero entries grouped by operator row, and the
-    # reduced rows with a nonzero entry in each operator row
-    grouped = []
-    users: dict[int, list[int]] = {}
-    for b, row in enumerate(rows):
-        g: dict[int, list] = {}
-        for k, x in row:
-            g.setdefault(k // n, []).append((k % n, x))
-        grouped.append(g)
-        for i in g:
-            users.setdefault(i, []).append(b)
-    for row in rows:
-        left = [(*divmod(k, n), x) for k, x in row]
-        for b in {b for _, j, _ in left for b in users.get(j, ())}:
-            g = grouped[b]
-            product: dict[int, object] = {}
-            for i, j, x in left:
-                for l, y in g.get(j, ()):
-                    product[i * n + l] = product.get(i * n + l, 0) + x * y
-            residual = dict(product)
-            for k, c in product.items():
-                if p is not None:
-                    c %= p
-                if c and k in by_pivot:
-                    for q, x in by_pivot[k]:
-                        residual[q] = residual.get(q, 0) - c * x
-            if any(x % p if p is not None else x for x in residual.values()):
-                return False
-    return True
+    cols: dict[int, set[int]] = {}
+    for row in red.matrix.entries[: red.rank]:
+        support = [k for k, x in enumerate(row) if x]
+        if len(support) != 1:
+            return False
+        r, c = divmod(support[0], n)
+        cols.setdefault(r, set()).add(c)
+    return all(cols.get(c, set()) <= cs for cs in cols.values() for c in cs)
 
 
 def _closure_escape(alg) -> list[int] | None:
     """The first pair [i, j], in row-major order, with alg.basis[i] @
-    alg.basis[j] outside the span of alg.basis, or None; the witness scan
-    for a span `_span_closed` has found not closed.  All products of one
-    left factor come from one product with the basis side by side."""
-    f, n = alg.nest.field, alg.nest.ambient_dim
-    side_by_side = Matrix._of(
-        f, tuple(tuple([x for b in alg.basis for x in b.entries[r]]) for r in range(n)), alg.dim * n
-    )
-    for i, a in enumerate(alg.basis):
-        rows = (a @ side_by_side).entries
-        for j in range(alg.dim):
-            product = Matrix._of(f, tuple(row[j * n : j * n + n] for row in rows), n)
-            if not alg.contains(product):
-                return [i, j]
-    return None
+    alg.basis[j] outside the span of alg.basis, or None when the span is
+    closed.  A plain scan of the d^2 products: it runs only on spans that
+    are not a closed span of matrix units (`_span_closed`), which no
+    correct basis gives."""
+    pairs = itertools.product(enumerate(alg.basis), repeat=2)
+    return next(([i, j] for (i, a), (j, b) in pairs if not alg.contains(a @ b)), None)
 
 
 def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[dict]:

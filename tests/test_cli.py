@@ -268,8 +268,9 @@ def test_reflexivity_rejects_non_list_subspace(tmp_path):
     assert load_report(proc)["error"]["path"] == "matrix"
 
 
-def test_check_rejects_boolean_scalar(tmp_path):
-    doc = dict(FLAG3, chain=[[[True, "0", "0"]]])
+@pytest.mark.parametrize("scalar", [True, "1/0"])
+def test_check_rejects_boolean_scalar(tmp_path, scalar):
+    doc = dict(FLAG3, chain=[[[scalar, "0", "0"]]])
     proc = run_cli("check", "--input", write(tmp_path, "nest.json", doc))
     assert proc.returncode == 2
     assert load_report(proc)["error"]["path"] == "input.chain[0][0][0]"
@@ -340,6 +341,17 @@ def test_ordsum_rejects_array_matrix(tmp_path):
     )
     assert proc.returncode == 2
     assert load_report(proc)["error"]["path"] == "matrix"
+
+
+def test_null_matrix_payload_is_bad_input(tmp_path):
+    # a --matrix file holding JSON null is a payload, not a missing flag
+    null = write(tmp_path, "null.json", None)
+    pair = {"first": GF2_LINE, "second": GF2_LINE}
+    for command, doc in (("reflexivity", GF2_LINE), ("ordsum", pair)):
+        code, report = run_main(command, "--input", write(tmp_path, "in.json", doc),
+                                "--matrix", null)
+        assert code == 2
+        assert report["error"]["path"] == "matrix"
 
 
 def test_dual(tmp_path):
@@ -670,6 +682,23 @@ def test_alg_basis_scales(tmp_path, spec):
     proc = run_cli("alg-basis", "--input", write(tmp_path, "nest.json", doc), timeout=10)
     assert proc.returncode == 0
     assert all(v["pass"] for v in load_report(proc)["verdicts"])
+
+
+def test_alg_basis_reports_are_pinned(tmp_path):
+    # `verify all` never calls check_alg_basis, so these pin its report bytes
+    specs = {
+        "0391508075e87052a8d1b26d56d156df0cb7a7ca8b0228a0446eea00de7019df": flag_nest(QQ, 4),
+        "1f937039a804f07fe25081be734271159bfa49ec7a1e5baf236462019f4e5bab":
+            random_nest(QQ, 6, random.Random(3)),
+        "5718abb13e4270f9589393bc508104a5d1098c5c07a7e673ef23cdc17d37b423":
+            random_nest(GF2, 4, random.Random(3)),
+    }
+    for digest, nest in specs.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["alg-basis", "--input", write(tmp_path, "nest.json", nest_to_json(nest))])
+        assert code == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_verify_report_is_pinned():

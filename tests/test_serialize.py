@@ -6,7 +6,6 @@ import pytest
 
 from nestalg.algebra import alg_basis, rank_one
 from nestalg.c00 import (
-    SupportSet,
     TailFunctional,
     omega_nest,
     zigzag_report,
@@ -28,10 +27,8 @@ from nestalg.serialize import (
     radical_report_to_json,
     rank_one_to_json,
     scalar_from_json,
-    subspace_from_json,
     subspace_to_json,
     support_nest_to_json,
-    support_set_to_json,
     tail_functional_to_json,
     vector_from_json,
     vector_to_json,
@@ -105,16 +102,6 @@ def test_subspace_round_trip():
     s = span_of([(Q(1), Q(2), Q(0)), (Q(0), Q(0), Q(1))], QQ, 3)
     doc = subspace_to_json(s)
     assert doc["ambient"] == 3
-    assert subspace_from_json(QQ, doc, "s") == s
-    with pytest.raises(SpecError) as exc:
-        subspace_from_json(QQ, {"ambient": 0, "basis": []}, "s")
-    assert "s.ambient" in str(exc.value)
-    with pytest.raises(SpecError):
-        subspace_from_json(QQ, {"basis": []}, "s")
-    with pytest.raises(SpecError):
-        subspace_from_json(QQ, {"ambient": True, "basis": []}, "s")
-    with pytest.raises(SpecError):
-        subspace_from_json(QQ, [], "s")
 
 
 def test_nest_round_trip():
@@ -192,8 +179,6 @@ def test_ordsum_report_shape():
 
 
 def test_support_serializers():
-    assert support_set_to_json(SupportSet("initial", 3)) == {"kind": "initial", "index": 3}
-    assert support_set_to_json(SupportSet("all")) == {"kind": "all"}
     doc = support_nest_to_json(omega_nest())
     assert doc == {
         "order_type": "omega",
