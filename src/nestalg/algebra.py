@@ -70,53 +70,51 @@ class MembershipError(ValueError):
         )
 
 
-def _pairs(nest: Nest, kind: str) -> list[tuple[Subspace, Subspace]]:
-    """The (source, target) pairs with T source ⊆ target that define the
-    algebra (FULL: every member invariant) or the strict ideal (STRICT:
-    every nonzero member into its predecessor)."""
-    chain = nest.chain
-    if kind == FULL:
-        return [(m, m) for m in chain[1:-1]]
-    return list(zip(chain[1:], chain))
+def _forbidden(kind: str, row_block: int, col_block: int) -> bool:
+    """Must entry (r, c) of S^-1 T S vanish, given block[r] and block[c]
+    (`Nest.frame`)?  T leaves every member invariant (FULL) iff it vanishes
+    where block[r] > block[c], and maps every nonzero member into its
+    predecessor (STRICT) iff it vanishes where block[r] >= block[c]."""
+    return row_block > col_block if kind == FULL else row_block >= col_block
 
 
-def _constraint_kernel(nest: Nest, pairs) -> tuple[Matrix, ...]:
-    """Solve T . source ⊆ target for all (source, target) pairs of `_pairs`."""
+def _constraint_kernel(nest: Nest, kind: str) -> tuple[Matrix, ...]:
+    """The operators T of the kind: S^-1 T S is zero at every `_forbidden`
+    entry (r, c).  Each entry is one row on the n^2 entries of T, row-major:
+    a_i * v_j against T_ij, for row a of S^-1 and column v of S.  The entries
+    are independent coordinates of T, so the rows are as many as their rank."""
     f, n = nest.field, nest.ambient_dim
-    kernel = kernel_basis(Matrix._of(f, _constraint_rows(nest, pairs), n * n))
-    return _operators(f, kernel.entries, (n, n))
-
-
-def _fresh_rows(members) -> list[list[Vector]]:
-    """For each of the increasing subspaces `members`, its RREF basis rows
-    whose pivot is not a pivot of the previous member (of {0} for the
-    first): a complement of the previous member within it.  Over the
-    nonzero members of a chain they join into a basis of F^n adapted to
-    the chain, each member spanned by a prefix."""
-    out = []
-    pred_pivots: tuple[int, ...] = ()
-    for m in members:
-        out.append([v for v, pc in zip(m.basis.entries, m.pivots) if pc not in pred_pivots])
-        pred_pivots = m.pivots
-    return out
-
-
-def _constraint_rows(nest: Nest, pairs) -> tuple:
-    """The constraints of T . source ⊆ target on the n^2 entries of T, row-major:
-    a_i * v_j against T_ij for an annihilator row a of the target and a row v
-    of the source.  A source's predecessor is the previous pair's source (or
-    {0}), already mapped into the target by that pair, so v runs only over
-    the source's `_fresh_rows`, which makes the rows exactly as many as their
-    rank."""
-    f = nest.field
     zero = f.zero()
-    rows: list = []
-    for (_, target), fresh in zip(pairs, _fresh_rows(source for source, _ in pairs)):
-        for a in target.annihilator().basis.entries:
-            rows += [
-                tuple([f.mul(ai, vj) if ai and vj else zero for ai in a for vj in v]) for v in fresh
-            ]
-    return tuple(rows)
+    s, s_inv, block = nest.frame
+    columns = s.transpose().entries
+    rows = tuple(
+        tuple([f.mul(ai, vj) if ai and vj else zero for ai in s_inv.entries[r] for vj in columns[c]])
+        for r in range(n)
+        for c in range(n)
+        if _forbidden(kind, block[r], block[c])
+    )
+    return _operators(f, kernel_basis(Matrix._of(f, rows, n * n)).entries, (n, n))
+
+
+def _conjugates(nest: Nest, ops) -> list[tuple]:
+    """The entries of S^-1 t S for each operator t of ops, S of `Nest.frame`.
+    Two products: the ops stacked @ S, then S^-1 @ those side by side."""
+    f, n = nest.field, nest.ambient_dim
+    s, s_inv, _ = nest.frame
+    right = (Matrix._of(f, tuple(r for t in ops for r in t.entries), n) @ s).entries
+    side_by_side = tuple(tuple(itertools.chain(*right[r::n])) for r in range(n))
+    rows = (s_inv @ Matrix._of(f, side_by_side, len(ops) * n)).entries
+    return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ops))]
+
+
+def _first_violation(nest: Nest, kind: str, conjugates) -> int | None:
+    """None if every S^-1 t S of conjugates (`_conjugates`) vanishes at every
+    `_forbidden` entry, else the least block[c] = k over the nonzero
+    forbidden entries (r, c): member k + 1 is the first that a t moves out
+    of bounds, out of itself (FULL) or of its predecessor (STRICT)."""
+    block = nest.frame[2]
+    nonzero = ((r, c) for t in conjugates for r, row in enumerate(t) for c, x in enumerate(row) if x)
+    return min((block[c] for r, c in nonzero if _forbidden(kind, block[r], block[c])), default=None)
 
 
 def _operators(field: Field, rows, shape: tuple[int, int]) -> tuple[Matrix, ...]:
@@ -128,18 +126,21 @@ def _operators(field: Field, rows, shape: tuple[int, int]) -> tuple[Matrix, ...]
 
 def alg_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of the algebra of all operators preserving the chain."""
-    return AlgebraBasis(nest, FULL, _constraint_kernel(nest, _pairs(nest, FULL)))
+    return AlgebraBasis(nest, FULL, _constraint_kernel(nest, FULL))
 
 
 def _violation(nest: Nest, t: Matrix, kind: str):
-    """None if t maps each source of the kind's pairs into its target, else
-    (source, basis vector of the source that t moves out of the target)."""
+    """None if t lies in the algebra (FULL) or the strict ideal (STRICT),
+    else (member, basis vector of it that t moves out of bounds) for the
+    first member whose constraint t breaks (`_first_violation`): its first
+    basis row v with t v outside the member (FULL) or its predecessor."""
     _check_operator(nest, t)
-    for source, target in _pairs(nest, kind):
-        for v in source.basis.entries:
-            if not target.contains(t.apply(v)):
-                return source, v
-    return None
+    k = _first_violation(nest, kind, _conjugates(nest, (t,)))
+    if k is None:
+        return None
+    source = nest.chain[k + 1]
+    target = source if kind == FULL else nest.chain[k]
+    return source, next(v for v in source.basis.entries if not target.contains(t.apply(v)))
 
 
 def in_alg_witness(nest: Nest, t: Matrix):

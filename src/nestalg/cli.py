@@ -100,10 +100,9 @@ def _subspace_arg(docs, nest):
 
 
 def _input_doc(docs):
-    doc = docs.get("input")
-    if doc is None:
+    if "input" not in docs:
         raise SpecError("input", "this command needs --input FILE with a nest spec")
-    return doc
+    return docs["input"]
 
 
 def _nest_arg(docs):
@@ -206,9 +205,11 @@ def _decompose_approximant(nest, docs):
 
 def cmd_decompose(args, docs, inputs):
     nest, _ = _nest_arg(docs)
-    doc = docs.get("matrix")
-    if doc is None or not isinstance(doc, dict):
+    if "matrix" not in docs:
         raise SpecError("matrix", "this command needs --matrix FILE with a JSON object")
+    doc = docs["matrix"]
+    if not isinstance(doc, dict):
+        raise SpecError("matrix", "expected a JSON object")
     inferred = "idempotent" if "subspace" in doc else "approximant" if "vectors" in doc else "rank"
     mode = inputs["mode"] = args.mode or inferred
     if mode == "rank":
@@ -295,7 +296,7 @@ def cmd_reflexivity(args, docs, inputs):
 
 
 def cmd_ordsum(args, docs, inputs):
-    doc = docs.get("input")
+    doc = _input_doc(docs)
     if not isinstance(doc, dict) or "first" not in doc or "second" not in doc:
         raise SpecError("input", "expected {\"first\": <nest>, \"second\": <nest>}")
     first, _ = nest_from_json(doc["first"], "input.first")

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field
-from .matrices import Vector, coerce_vector, is_zero_vector
+from .matrices import Matrix, Vector, coerce_vector, is_zero_vector, try_invert
 from .subspaces import Subspace, enumerate_subspaces, full, span_of, zero_subspace
 
 
@@ -34,6 +35,22 @@ class Nest:
         return tuple(
             self.chain[i + 1].dim - self.chain[i].dim for i in range(len(self.chain) - 1)
         )
+
+    @cached_property
+    def frame(self) -> tuple[Matrix, Matrix, tuple[int, ...]]:
+        """A basis of F^n adapted to the chain, as (S, S^-1, block).  The
+        columns of S are, member by member, the RREF basis rows of each
+        nonzero member whose pivot is not a pivot of its predecessor;
+        block[c] is the atom of column c, so member k is spanned by the
+        columns with block < k."""
+        columns: list[Vector] = []
+        block: list[int] = []
+        for k, (pred, member) in enumerate(zip(self.chain, self.chain[1:])):
+            fresh = [v for v, pc in zip(member.basis.entries, member.pivots) if pc not in pred.pivots]
+            columns += fresh
+            block += [k] * len(fresh)
+        s = Matrix._of(self.field, tuple(columns), self.ambient_dim).transpose()
+        return s, try_invert(s), tuple(block)
 
     def __repr__(self) -> str:
         dims = [s.dim for s in self.chain]

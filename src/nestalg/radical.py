@@ -18,7 +18,6 @@ from .algebra import (
     _check_operator,
     _constraint_kernel,
     _operators,
-    _pairs,
     _require_member,
     _violation,
     alg_basis,
@@ -31,7 +30,7 @@ from .subspaces import full, separating_functional, span_of
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of {T : T maps each member into its predecessor}."""
-    return AlgebraBasis(nest, STRICT, _constraint_kernel(nest, _pairs(nest, STRICT)))
+    return AlgebraBasis(nest, STRICT, _constraint_kernel(nest, STRICT))
 
 
 def in_strict_ideal_witness(nest: Nest, t: Matrix):

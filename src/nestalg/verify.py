@@ -16,7 +16,10 @@ import random
 
 from . import c00
 from .algebra import (
-    _fresh_rows,
+    FULL,
+    STRICT,
+    _conjugates,
+    _first_violation,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -163,57 +166,31 @@ def _strict_dim(atoms) -> int:
 
 def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     """The bases of the algebra and of its strictly-shifting ideal
-    (`alg_basis`, `strict_ideal_basis`), decided in coordinates adapted to
-    the chain (`_adapted_conjugates`): T leaves every member invariant iff
-    S^-1 T S is block upper triangular over the atoms, and shifts every
-    member into its predecessor iff it is strictly so.  Conjugation is an
-    algebra automorphism, so the span of alg.basis is closed under products
-    iff the span of its conjugates is.  A span of matrix units closed under
-    E_rc E_cd = E_rd, which every correct basis gives, passes on its unit
-    pattern (`_span_closed`); any other span runs the scan
-    `_closure_escape`, which decides closure and names the first pair
-    (i, j) with alg.basis[i] @ alg.basis[j] outside the span."""
+    (`alg_basis`, `strict_ideal_basis`), decided in the chain-adapted frame
+    S of `Nest.frame`: both membership verdicts come from the one batched
+    conjugation `_conjugates` and the forbidden entries of
+    `_first_violation`, which also decide `in_alg` and `in_strict_ideal`.
+    Conjugation is an algebra automorphism, so the span of alg.basis is
+    closed under products iff the span of its conjugates is: a span of
+    matrix units closed under E_rc E_cd = E_rd, which every correct basis
+    gives, passes on its unit pattern (`_span_closed`); any other span runs
+    the scan `_closure_escape`, which decides closure and names the first
+    pair (i, j) with alg.basis[i] @ alg.basis[j] outside the span."""
     atoms = nest.atoms
     ck.record("algebra-dimension", alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms), ce)
     ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
-    conjugates = _adapted_conjugates(nest, alg.basis + strict.basis)
+    conjugates = _conjugates(nest, alg.basis + strict.basis)
     alg_conj, strict_conj = conjugates[: alg.dim], conjugates[alg.dim :]
-    # the atom each adapted coordinate belongs to: entry (r, c) must be zero
-    # when block[r] > block[c] in the algebra, and when block[r] >= block[c]
-    # in the ideal
-    block = [k for k, a in enumerate(atoms) for _ in range(a)]
-    ck.record(
-        "basis-members-in-algebra",
-        all(not x for t in alg_conj for r, row in enumerate(t)
-            for x, b in zip(row, block) if block[r] > b),
-        ce,
-    )
-    ck.record(
-        "strict-members-shift",
-        all(not x for t in strict_conj for r, row in enumerate(t)
-            for x, b in zip(row, block) if block[r] >= b),
-        ce,
-    )
+    ck.record("basis-members-in-algebra", _first_violation(nest, FULL, alg_conj) is None, ce)
+    ck.record("strict-members-shift", _first_violation(nest, STRICT, strict_conj) is None, ce)
     escape = None if _span_closed(nest.field, nest.ambient_dim, alg_conj) else _closure_escape(alg)
     ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
 
 
-def _adapted_conjugates(nest, ops) -> list[tuple]:
-    """The entries of S^-1 t S for each operator t of ops, where the columns
-    of S are the `_fresh_rows` of the nonzero chain members in order, so
-    that member k is spanned by the first dim(member k) columns.  Two
-    products: the ops stacked @ S, then S^-1 @ those side by side."""
-    f, n = nest.field, nest.ambient_dim
-    s = Matrix._of(f, tuple(v for rows in _fresh_rows(nest.chain[1:]) for v in rows), n).transpose()
-    right = (Matrix._of(f, tuple(r for t in ops for r in t.entries), n) @ s).entries
-    side_by_side = tuple(tuple(itertools.chain(*right[r::n])) for r in range(n))
-    rows = (try_invert(s) @ Matrix._of(f, side_by_side, len(ops) * n)).entries
-    return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ops))]
-
-
 def _span_closed(field, n, ops) -> bool:
-    """Is the span of the n x n operators ops (entry tuples) a span of
-    matrix units closed under products?  One rref of the vectorized ops: if
+    """Is the span of the n x n operators ops (entry tuples, here the
+    conjugates S^-1 t S of `_conjugates`) a span of matrix units closed
+    under products?  One rref of the vectorized ops: if
     every reduced row has one nonzero entry, the span is that of the units
     E_rc at the pivots, and as E_rc E_cd = E_rd it is closed iff
     cols[c] <= cols[r] for every unit E_rc, where cols[r] holds the columns

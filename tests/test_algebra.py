@@ -12,8 +12,7 @@ from nestalg.algebra import (
     AlgebraBasis,
     MembershipError,
     RankOneOp,
-    _constraint_rows,
-    _pairs,
+    _forbidden,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -32,7 +31,7 @@ from nestalg.algebra import (
 from nestalg.fields import GF2, GF3, QQ
 from nestalg.matrices import Matrix, dot, is_zero_vector, kernel_basis
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, new_nest, trivial_nest
-from nestalg.radical import strict_ideal_basis
+from nestalg.radical import in_strict_ideal_witness, strict_ideal_basis
 from nestalg.sampling import (
     random_matrix,
     random_nest,
@@ -526,26 +525,66 @@ def test_reflexivity_caches_nothing_on_the_bounding_members():
         assert "_annihilator" not in member.__dict__
 
 
+def reference_pairs(nest, kind):
+    """The (source, target) pairs with T source in target that define the
+    algebra (every member invariant) or the strict ideal (every nonzero
+    member into its predecessor)."""
+    chain = nest.chain
+    return [(m, m) for m in chain[1:-1]] if kind == FULL else list(zip(chain[1:], chain))
+
+
+def violation_scan_reference(nest, t, kind):
+    """Membership by scanning every pair: None, or (source, first basis row
+    of the first failing source that t moves out of its target)."""
+    for source, target in reference_pairs(nest, kind):
+        for v in source.basis.entries:
+            if not target.contains(t.apply(v)):
+                return source, v
+    return None
+
+
 def test_constraint_rows_match_rank():
-    # one constraint row per unit of rank, and the same canonical basis as
-    # the rows taken from every basis row of each source
+    # the rows a_i * v_j for every annihilator row a of each target and
+    # every basis row v of its source cut out the canonical bases, whose
+    # codimension is the number of forbidden entries of the frame
     rng = random.Random(53)
     for field in (QQ, GF2, GF3):
         for _ in range(8):
             nest = random_nest(field, rng.randint(1, 5), rng)
             n = nest.ambient_dim
-            for kind in (FULL, STRICT):
-                pairs = _pairs(nest, kind)
-                rows = _constraint_rows(nest, pairs)
+            for kind, basis in ((FULL, alg_basis(nest)), (STRICT, strict_ideal_basis(nest))):
                 full_rows = tuple(
                     tuple(field.mul(a[i], v[j]) for i in range(n) for j in range(n))
-                    for source, target in pairs
+                    for source, target in reference_pairs(nest, kind)
                     for a in target.annihilator().basis.entries
                     for v in source.basis.entries
                 )
-                want = kernel_basis(Matrix(field, full_rows, cols=n * n))
-                assert kernel_basis(Matrix(field, rows, cols=n * n)) == want
-                assert len(rows) == n * n - want.rows
+                assert kernel_basis(Matrix(field, full_rows, cols=n * n)) == basis.vectorized
+                block = nest.frame[2]
+                assert sum(_forbidden(kind, a, b) for a in block for b in block) == n * n - basis.dim
+
+
+def test_witnesses_match_scan_reference():
+    # random operators, span elements of both bases, those elements with one
+    # entry perturbed, and algebra elements of each truncation chain[:k] of
+    # the nest, which keep the first k - 1 members: the frame's verdict and
+    # witness are the scan's
+    rng = random.Random(61)
+    for field in (QQ, GF2, GF3):
+        for _ in range(15):
+            nest = random_nest(field, rng.randint(1, 5), rng)
+            n = nest.ambient_dim
+            ops = [random_matrix(field, n, n, rng)]
+            for basis in (alg_basis(nest), strict_ideal_basis(nest)):
+                t = random_span_element(basis, rng)
+                bump = [[field.zero()] * n for _ in range(n)]
+                bump[rng.randrange(n)][rng.randrange(n)] = field.one()
+                ops += [t, t + Matrix(field, bump)]
+            for k in range(1, len(nest.chain) - 1):
+                ops.append(random_span_element(alg_basis(new_nest(field, n, nest.chain[1:k])), rng))
+            for t in ops:
+                assert in_alg_witness(nest, t) == violation_scan_reference(nest, t, FULL)
+                assert in_strict_ideal_witness(nest, t) == violation_scan_reference(nest, t, STRICT)
 
 
 def test_reflexivity_witness_frozen():

@@ -354,6 +354,27 @@ def test_null_matrix_payload_is_bad_input(tmp_path):
         assert report["error"]["path"] == "matrix"
 
 
+@pytest.mark.parametrize(
+    "argv, path, message",
+    [
+        (("check", "--input", "null.json"), "input", "expected an object"),
+        (("ordsum",), "input", "this command needs --input FILE"),
+        (("decompose", "--input", "line.json", "--matrix", "null.json"), "matrix",
+         "expected a JSON object"),
+    ],
+    ids=["check-null-input", "ordsum-no-input", "decompose-null-matrix"],
+)
+def test_payload_faults_are_not_missing_flags(tmp_path, argv, path, message):
+    # a flag is missing only when its key is absent; a present payload,
+    # JSON null included, is reported by its decoder
+    files = {"null.json": write(tmp_path, "null.json", None),
+             "line.json": write(tmp_path, "line.json", GF2_LINE)}
+    code, report = run_main(*(files.get(a, a) for a in argv))
+    assert code == 2
+    assert report["error"]["path"] == path
+    assert message in report["error"]["message"]
+
+
 def test_dual(tmp_path):
     proc = run_cli("dual", "--input", write(tmp_path, "nest.json", FLAG3))
     assert proc.returncode == 0
@@ -698,6 +719,32 @@ def test_alg_basis_reports_are_pinned(tmp_path):
         with contextlib.redirect_stdout(buf):
             code = cli.main(["alg-basis", "--input", write(tmp_path, "nest.json", nest_to_json(nest))])
         assert code == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_radical_and_decompose_reports_are_pinned(tmp_path):
+    # `verify all` never prints exclusion witnesses or membership errors
+    q5 = random_nest(QQ, 5, random.Random(3))
+    t = random_span_element(alg_basis(q5), random.Random(3), nonzero=True)
+    q4 = {"field": "Q", "dim": 4,
+          "chain": [[["1", "1", "0", "0"]], [["1", "1", "0", "0"], ["0", "0", "1", "2"]]]}
+    e43 = [["0"] * 4, ["0"] * 4, ["0"] * 4, ["0", "0", "1", "0"]]  # keeps member 1, not 2
+    runs = {
+        "238b48171e82bb0c3908294357e36ec6ab42cb150df913d856f98010df436bad": (0, (
+            "radical", "--input",
+            write(tmp_path, "q6.json", nest_to_json(random_nest(QQ, 6, random.Random(3)))))),
+        "93170b8b1b0c405524832cfa9c505cb6f96be60c24c8190ff8636b0a13e2b5b2": (0, (
+            "decompose", "--input", write(tmp_path, "q5.json", nest_to_json(q5)),
+            "--matrix", write(tmp_path, "t.json", {"matrix": matrix_to_json(t)}))),
+        "2a0a7888b138edeae1b4a0668daafd8ea5aa256c9d7ac75e27cc9a626f61e5de": (2, (
+            "decompose", "--input", write(tmp_path, "q4.json", q4),
+            "--matrix", write(tmp_path, "e43.json", {"matrix": e43}))),
+    }
+    for digest, (want, argv) in runs.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(argv))
+        assert code == want
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
