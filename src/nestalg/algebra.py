@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .fields import Field
 from .matrices import Matrix, Vector, coerce_vector, dot, is_zero_vector, kernel_basis, outer, rref
@@ -14,7 +15,7 @@ from .subspaces import (
     Functional,
     Subspace,
     enumerate_subspaces,
-    enumerated_basis_rows,
+    row_image_tables,
     separating_functional,
     span_of,
 )
@@ -166,7 +167,7 @@ def _check_operator(nest: Nest, t: Matrix) -> None:
         raise ValueError("operator must be square of the ambient dimension")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankOneOp:
     """The operator v -> phi(v) x for nonzero x and phi."""
 
@@ -275,11 +276,11 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     """All subspaces of GF(p)^n invariant under every given operator.
 
     A filter over enumerate_subspaces, so its bound applies (p in {2,3},
-    n <= 4).  Each image t v is the tuple of dot products of v with the rows
-    of t, so the distinct basis rows of the enumerated subspaces are
-    multiplied once by the transposed distinct operator rows, and each
-    image is read off that product; s is kept when the images of its basis
-    rows all lie in s.elements.
+    n <= 4), and no product is formed.  The image t v_k of the k-th distinct
+    enumerated basis row is the tuple of the tabulated dot products of the
+    rows of t with v_k (`row_image_tables`).  Each distinct pair (k, t v_k)
+    rules out, by one tabulated bitmask, the subspaces with basis row v_k
+    that miss t v_k; the subspaces no pair rules out are kept.
     """
     n = ambient_dim
     ops = tuple(ops)
@@ -287,15 +288,11 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
         if t.field != field or (t.rows, t.cols) != (n, n):
             raise ValueError("operators must match the given field and shape")
     subspaces = enumerate_subspaces(field, n)
-    rows = enumerated_basis_rows(field.p, n)
-    column = {r: k for k, r in enumerate(dict.fromkeys(r for t in ops for r in t.entries))}
-    places = [[column[t.entries[i]] for t in ops] for i in range(n)]
-    products = Matrix._of(field, rows, n) @ Matrix._of(field, tuple(column), n).transpose()
-    images = {
-        v: set(zip(*[[w[k] for k in place] for place in places]))
-        for v, w in zip(rows, products.entries)
-    }
-    return [s for s in subspaces if all(images[v] <= s.elements for v in s.basis.entries)]
+    images, excluded = row_image_tables(field.p, n)
+    gathered = [list(map(images.__getitem__, rows)) for rows in zip(*[t.entries for t in ops])]
+    pairs = itertools.chain.from_iterable(map(enumerate, map(zip, *gathered))) if gathered else ()
+    mask = reduce(or_, map(excluded.__getitem__, set(pairs)), 0)
+    return [s for bit, s in enumerate(subspaces) if not mask >> bit & 1]
 
 
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:

@@ -264,6 +264,8 @@ def cmd_reflexivity(args, docs, inputs):
     ck = verify._Check()
     if "matrix" in docs:
         m = _subspace_arg(docs, nest)
+        if m in nest.chain:
+            raise SpecError("matrix.subspace", "the subspace is a member of the chain: no witness")
         op, x = reflexivity_witness(nest, m)
         image = op.matrix.apply(x)
         results = {
@@ -301,6 +303,10 @@ def cmd_ordsum(args, docs, inputs):
         raise SpecError("input", "expected {\"first\": <nest>, \"second\": <nest>}")
     first, _ = nest_from_json(doc["first"], "input.first")
     second, _ = nest_from_json(doc["second"], "input.second")
+    if second.field != first.field:
+        raise SpecError(
+            "input.second.field", f"field {second.field!r} differs from the first's {first.field!r}"
+        )
     summed = ordinal_sum(first, second)
     results = {"sum": nest_to_json(summed), "atoms": list(summed.atoms)}
     ck = verify._Check()

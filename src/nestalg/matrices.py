@@ -29,10 +29,10 @@ class Matrix:
         for row in rows:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", rows)
+        _set_field(self, field)
+        _set_rows(self, len(rows))
+        _set_cols(self, cols)
+        _set_entries(self, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -42,10 +42,10 @@ class Matrix:
         """Wrap a tuple of equal-length tuples of field elements as is, without
         the per-entry coercion of the public constructor."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", rows)
+        _set_field(m, field)
+        _set_rows(m, len(rows))
+        _set_cols(m, cols)
+        _set_entries(m, rows)
         return m
 
     @classmethod
@@ -170,6 +170,13 @@ class Matrix:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
         if same_shape and (other.rows, other.cols) != (self.rows, self.cols):
             raise ValueError("shape mismatch")
+
+
+# The slot setters, bound once: they write past the refusing __setattr__ at
+# about half the cost of object.__setattr__ by name.
+_set_field, _set_rows, _set_cols, _set_entries = (
+    Matrix.__dict__[a].__set__ for a in Matrix.__slots__
+)
 
 
 def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:

@@ -197,11 +197,23 @@ def _enumerate_subspaces(p: int, ambient_dim: int) -> tuple[Subspace, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerated_basis_rows(p: int, ambient_dim: int) -> tuple[Vector, ...]:
-    """The distinct basis rows of the subspaces of GF(p)^n, in order of first
-    appearance; call enumerate_subspaces first for its bound check."""
+def row_image_tables(p: int, ambient_dim: int) -> tuple[dict, dict]:
+    """Tables over the subspaces of GF(p)^n; call enumerate_subspaces first
+    for its bound check.  `images` maps each vector r to the tuple of r . v_k
+    mod p over the distinct basis rows v_k, in order of first appearance;
+    `excluded` maps (k, y) to the bitmask, by enumeration index, of the
+    subspaces that have v_k as a basis row but do not contain y."""
     subspaces = _enumerate_subspaces(p, ambient_dim)
-    return tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
+    rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
+    vectors = tuple(itertools.product(range(p), repeat=ambient_dim))
+    images = {r: tuple([sum(a * b for a, b in zip(r, v)) % p for v in rows]) for r in vectors}
+    excluded = dict.fromkeys(itertools.product(range(len(rows)), vectors), 0)
+    for bit, s in enumerate(subspaces):
+        outside = [y for y in vectors if y not in s.elements]
+        for k in map(rows.index, s.basis.entries):
+            for y in outside:
+                excluded[k, y] |= 1 << bit
+    return images, excluded
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int) -> tuple[Subspace, ...]:

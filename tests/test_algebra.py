@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -424,6 +425,17 @@ def test_invariant_lattice_matches_span_reference():
     assert invariant_lattice([], GF2, 2) == list(enumerate_subspaces(GF2, 2))
 
 
+def test_invariant_lattice_matches_raw_reference_on_gf3_4():
+    # GF(3)^4 has 212 subspaces, so the exclusion masks are wider than a
+    # machine word: 30 seeded chains, with algebra elements or rank-ones
+    # (alternately) as lattice_op_sets draws them
+    rng = random.Random(53)
+    for k in range(30):
+        *_, members, _, ones, _ = lattice_op_sets(GF3, 4, rng)
+        ops = ones if k % 2 else members
+        assert invariant_lattice(ops, GF3, 4) == raw_lattice_reference(ops, GF3, 4)
+
+
 def test_invariant_lattice_takes_any_iterable():
     nest = flag_nest(GF3, 3)
     ops = [r.matrix for r in all_rank_ones_in_alg(nest)]
@@ -449,6 +461,18 @@ def test_invariant_lattice_rejects_rationals():
 
 def test_all_rank_ones_count():
     assert len(all_rank_ones_in_alg(flag_nest(GF2, 2))) == 5
+
+
+def test_rank_ones_and_matrices_reject_assignment():
+    r = all_rank_ones_in_alg(flag_nest(GF2, 2))[0]
+    for name in ("x", "phi", "matrix"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, name, None)
+    m = Matrix._of(GF2, ((1, 0), (0, 1)), 2)
+    for name in ("field", "rows", "cols", "entries", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    assert m == Matrix.identity(GF2, 2)
 
 
 def test_all_rank_ones_exhaustive():

@@ -329,6 +329,26 @@ def test_ordsum_over_gf2_checks_the_radical_rule(tmp_path):
     assert all(verdicts.values())
 
 
+def test_reflexivity_rejects_chain_member_subspace(tmp_path):
+    # a chain member, the zero member included, has no witness: bad input
+    # at the subspace's path, not an internal error
+    nest = write(tmp_path, "nest.json", FLAG3)
+    for vectors in ([], [["1", "0", "0"]], [["0", "1", "0"], ["2", "0", "0"]]):
+        code, report = run_main("reflexivity", "--input", nest,
+                                "--matrix", write(tmp_path, "sub.json", {"subspace": vectors}))
+        assert code == 2
+        assert report["error"]["path"] == "matrix.subspace"
+        assert "member of the chain" in report["error"]["message"]
+
+
+def test_ordsum_rejects_mixed_fields(tmp_path):
+    pair = {"first": {"field": "Q", "dim": 2, "chain": []}, "second": GF2_LINE}
+    code, report = run_main("ordsum", "--input", write(tmp_path, "pair.json", pair))
+    assert code == 2
+    assert report["error"]["path"] == "input.second.field"
+    assert "GF(2)" in report["error"]["message"] and "QQ" in report["error"]["message"]
+
+
 def test_ordsum_rejects_array_matrix(tmp_path):
     pair = {
         "first": {"field": "Q", "dim": 2, "chain": []},
