@@ -9,7 +9,19 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .fields import Field
-from .matrices import Matrix, Vector, coerce_vector, dot, is_zero_vector, kernel_basis, outer, rref
+from .matrices import (
+    Matrix,
+    Vector,
+    canonical_rows,
+    coerce_vector,
+    dot,
+    integer_kernel,
+    integer_product,
+    integer_rows,
+    is_zero_vector,
+    outer,
+    rref,
+)
 from .nests import Nest
 from .subspaces import (
     Functional,
@@ -81,30 +93,35 @@ def _forbidden(kind: str, row_block: int, col_block: int) -> bool:
 
 def _constraint_kernel(nest: Nest, kind: str) -> tuple[Matrix, ...]:
     """The operators T of the kind: S^-1 T S is zero at every `_forbidden`
-    entry (r, c).  Each entry is one row on the n^2 entries of T, row-major:
-    a_i * v_j against T_ij, for row a of S^-1 and column v of S.  The entries
-    are independent coordinates of T, so the rows are as many as their rank."""
+    entry (r, c).  Each entry is one int row on the n^2 entries of T,
+    row-major: a_i * v_j against T_ij, for row a of S^-1 and column v of S
+    (`Nest.frame`, so the row is a nonzero multiple of the entry's).  The
+    entries are independent coordinates of T, so the rows are as many as
+    their rank."""
     f, n = nest.field, nest.ambient_dim
-    zero = f.zero()
-    s, s_inv, block = nest.frame
-    columns = s.transpose().entries
-    rows = tuple(
-        tuple([f.mul(ai, vj) if ai and vj else zero for ai in s_inv.entries[r] for vj in columns[c]])
+    columns, inv_rows, block = nest.frame
+    rows = [
+        [a * v for a in inv_rows[r] for v in columns[c]]
         for r in range(n)
         for c in range(n)
         if _forbidden(kind, block[r], block[c])
-    )
-    return _operators(f, kernel_basis(Matrix._of(f, rows, n * n)).entries, (n, n))
+    ]
+    return _operators(f, canonical_rows(f, integer_kernel(f, rows, n * n)), (n, n))
 
 
 def _conjugates(nest: Nest, ops) -> list[tuple]:
-    """The entries of S^-1 t S for each operator t of ops, S of `Nest.frame`.
-    Two products: the ops stacked @ S, then S^-1 @ those side by side."""
+    """The entries of S^-1 t S for each operator t of ops, S of `Nest.frame`,
+    up to a diagonal scaling D_r (S^-1 t S) D_c with nonzero D_r, D_c, as
+    ints: t is scaled by the lcm of its denominators (`integer_rows` of the
+    vectorized ops).  Two integer products: the ops stacked @ S, then S^-1
+    @ those side by side."""
     f, n = nest.field, nest.ambient_dim
-    s, s_inv, _ = nest.frame
-    right = (Matrix._of(f, tuple(r for t in ops for r in t.entries), n) @ s).entries
-    side_by_side = tuple(tuple(itertools.chain(*right[r::n])) for r in range(n))
-    rows = (s_inv @ Matrix._of(f, side_by_side, len(ops) * n)).entries
+    columns, inv_rows, _ = nest.frame
+    ints = integer_rows(Matrix._of(f, tuple(t.vectorize() for t in ops), n * n))
+    stacked = [v[i : i + n] for v in ints for i in range(0, n * n, n)]
+    right = integer_product(f, stacked, list(zip(*columns)), n)
+    side_by_side = [list(itertools.chain(*right[r::n])) for r in range(n)]
+    rows = integer_product(f, inv_rows, side_by_side, len(ops) * n)
     return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ops))]
 
 
@@ -167,10 +184,16 @@ def _check_operator(nest: Nest, t: Matrix) -> None:
         raise ValueError("operator must be square of the ambient dimension")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RankOneOp:
-    """The operator v -> phi(v) x for nonzero x and phi."""
+    """The operator v -> phi(v) x for nonzero x and phi.
 
+    Slotted by its own __slots__ rather than slots=True, which replaces the
+    class: the frozen __setattr__ then refers to the replaced class and
+    raises TypeError, not FrozenInstanceError, for a name that is not a
+    field."""
+
+    __slots__ = ("x", "phi", "matrix")
     x: Vector
     phi: Functional
     matrix: Matrix

@@ -8,6 +8,8 @@ from typing import Union
 Scalar = Union[Fraction, int]
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 # Deterministic Miller-Rabin: these witnesses decide primality of every
 # n below MAX_MODULUS (Sorenson and Webster 2015).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -103,10 +105,12 @@ class Field:
         return value % self.p
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        """One shared Fraction 0 over QQ: comparing two zeros is then an
+        identity check, the common case for sparse canonical rows."""
+        return _ZERO if self.p is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .fields import Field, Scalar
+from .fields import QQ, Field, Scalar
 
 Vector = tuple  # row of Scalars; kept as plain tuples throughout
 
@@ -101,17 +101,7 @@ class Matrix:
         cols = other.cols
         if f.is_rationals:
             return Matrix._of(f, _matmul_rational(self.entries, other.entries, cols), cols)
-        p = f.p
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [0] * cols
-            for a, other_row in zip(row, sparse):
-                if a:
-                    for j, b in other_row:
-                        acc[j] += a * b
-            out.append(tuple([x % p for x in acc]))
-        return Matrix._of(f, tuple(out), cols)
+        return Matrix._of(f, tuple(integer_product(f, self.entries, other.entries, cols)), cols)
 
     def scale(self, c) -> Matrix:
         c = self.field.coerce(c)
@@ -179,31 +169,75 @@ _set_field, _set_rows, _set_cols, _set_entries = (
 )
 
 
-def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
-    """Product of Fraction rows on integers, over nonzero entries only.
+def _scaled(rows) -> tuple[list, list[int]]:
+    """(ints, dens): each Fraction row times the lcm of its own denominators,
+    as ints, and that lcm; row i is ints[i] / dens[i]."""
+    ints, dens = [], []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        ints.append([n * (den // d) for n, d in ratios] if den > 1 else [n for n, _ in ratios])
+        dens.append(den)
+    return ints, dens
 
-    B is scaled by the lcm of all its denominators and each row of A by the
-    lcm of its own, so every entry of the product is one integer sum
-    divided once at the end.
+
+def integer_rows(m: Matrix, common: bool = False):
+    """The rows of m as ints, each a nonzero multiple of its row of m.
+
+    Over QQ each row is scaled by the lcm of its own denominators or, with
+    `common`, every row by the lcm of all of m's denominators, so that the
+    ints are one multiple of m.  Over GF(p) they are m's residues as they are.
     """
-    b_nonzero = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in b_rows]
-    den_b = lcm(*[d for row in b_nonzero for _, (_, d) in row])
-    b_ints = [[(j, n * (den_b // d)) for j, (n, d) in row] for row in b_nonzero]
-    zero = Fraction(0)
+    if m.field.p is not None:
+        return m.entries
+    ints, dens = _scaled(m.entries)
+    if common:
+        den = lcm(*dens)
+        ints = [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)]
+    return ints
+
+
+def _accumulate(a_rows, b_sparse, cols: int) -> list:
+    """The product of an int matrix with one given by the (column, int)
+    pairs of each row's nonzero entries, over nonzero entries only."""
     out = []
     for row in a_rows:
-        nonzero = [(k, x.as_integer_ratio()) for k, x in enumerate(row) if x]
-        den_a = lcm(*[d for _, (_, d) in nonzero])
         acc = [0] * cols
-        for k, (n, d) in nonzero:
-            a = n * (den_a // d)
-            for j, b in b_ints[k]:
-                acc[j] += a * b
+        for a, other_row in zip(row, b_sparse):
+            if a:
+                for j, b in other_row:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
+
+
+def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
+    """The product of two int matrices with cols columns, reduced mod p over
+    GF(p).  Scaling a row of a scales that row of the product, and scaling
+    all of b scales all of it, so `integer_rows(A)` times
+    `integer_rows(B, common=True)` is A @ B up to a nonzero multiple per
+    row, with no Fraction built."""
+    out = _accumulate(a_rows, [[(j, b) for j, b in enumerate(row) if b] for row in b_rows], cols)
+    p = field.p
+    return out if p is None else [tuple([x % p for x in row]) for row in out]
+
+
+def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
+    """Product of Fraction rows: the integer product of A scaled per row and
+    B scaled as a whole by the lcm of its denominators, each row divided
+    once at the end by its scale.  Only B's nonzero entries are converted."""
+    a_ints, a_dens = _scaled(a_rows)
+    b_nonzero = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in b_rows]
+    den_b = lcm(*[d for row in b_nonzero for _, (_, d) in row])
+    b_sparse = [[(j, n * (den_b // d)) for j, (n, d) in row] for row in b_nonzero]
+    zero = QQ.zero()
+    out = []
+    for acc, den_a in zip(_accumulate(a_ints, b_sparse, cols), a_dens):
         den = den_a * den_b
         if den == 1:
-            out.append(tuple(Fraction(x) if x else zero for x in acc))
+            out.append(tuple([Fraction(x) if x else zero for x in acc]))
         else:
-            out.append(tuple(Fraction(x, den) if x else zero for x in acc))
+            out.append(tuple([Fraction(x, den) if x else zero for x in acc]))
     return tuple(out)
 
 
@@ -214,118 +248,156 @@ class RrefResult:
     rank: int
 
 
+def echelon(field: Field, rows, ncols: int) -> tuple[list, list[int]]:
+    """The one elimination: (rows, pivots) of int rows reduced to echelon
+    form with every pivot column cleared, zero rows dropped.  Row i of the
+    result is a nonzero multiple of row i of the unique RREF, with leading
+    entry rows[i][pivots[i]].
+
+    Over QQ the rows may be any nonzero int multiples of a matrix's rows:
+    each is divided by the gcd of its entries on entry, and rows are
+    combined fraction-free as p*x - a*y and divided by their gcd again.
+    Over GF(p) the rows are residues (`integer_kernel` reduces its rows
+    first): the pivot row is scaled by the pivot's inverse, so that its
+    leading entry is 1, and the other rows are combined as (x - a*y) % p.
+    Every step rescales a row by a nonzero scalar or adds a multiple of one
+    row to another, so the row space never changes.
+    """
+    p = field.p
+    if p is None:
+        rows = [_primitive(row) for row in rows if any(row)]
+    else:
+        rows = [list(row) for row in rows if any(row)]
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if p is None:
+            lead = prow[c]
+            for i in range(nrows):
+                row = rows[i]
+                a = row[c]
+                if a and i != r:
+                    new = [lead * x - a * y for x, y in zip(row, prow)]
+                    g = gcd(*new)
+                    rows[i] = [x // g for x in new] if g > 1 else new
+        else:
+            if prow[c] != 1:
+                inv = pow(prow[c], -1, p)
+                prow = rows[r] = [x * inv % p for x in prow]
+            for i in range(nrows):
+                row = rows[i]
+                a = row[c]
+                if a and i != r:
+                    rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def _primitive(row) -> list:
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
+
+
+def canonical_rows(field: Field, rows) -> tuple:
+    """Nonzero int rows, each divided by its leading entry, as tuples of
+    field elements: the one place where an elimination builds Fractions.
+    Over GF(p) the rows must be residues."""
+    p = field.p
+    out = []
+    if p is None:
+        zero = field.zero()
+        for row in rows:
+            lead = next(filter(None, row))
+            if lead == 1:
+                out.append(tuple([Fraction(x) if x else zero for x in row]))
+            else:
+                out.append(tuple([Fraction(x, lead) if x else zero for x in row]))
+    else:
+        for row in rows:
+            lead = next(filter(None, row))
+            if lead == 1:
+                out.append(tuple(row))
+            else:
+                inv = pow(lead, -1, p)
+                out.append(tuple([x * inv % p for x in row]))
+    return tuple(out)
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form (unique: leading ones, pivot columns cleared).
 
-    Both back ends run on plain ints.  Over QQ each row is scaled by the lcm
-    of its denominators, rows are combined fraction-free and divided by the
-    gcd of their entries, and each pivot row is divided by its pivot only at
-    the end.  Over GF(p) the pivot row is scaled by the pivot's inverse mod
-    p and every other row is combined as (x - a*y) % p.  Every step rescales
-    a row by a nonzero scalar or adds a multiple of one row to another, so
-    the row space never changes, and the RREF of a row space is unique.
+    `echelon` on `integer_rows(m)`, each reduced row then divided by its
+    pivot (`canonical_rows`); zero rows pad the result to m's shape.
     """
-    if m.field.is_rationals:
-        return _rref_rational(m)
-    return _rref_mod_p(m)
+    f = m.field
+    rows, pivots = echelon(f, integer_rows(m), m.cols)
+    # over GF(p) echelon leaves every pivot at 1 already
+    out = canonical_rows(f, rows) if f.p is None else tuple(map(tuple, rows))
+    if len(rows) < m.rows:
+        out += ((f.zero(),) * m.cols,) * (m.rows - len(rows))
+    return RrefResult(Matrix._of(f, out, m.cols), tuple(pivots), len(pivots))
 
 
-def _rref_rational(m: Matrix) -> RrefResult:
-    """The QQ back end of rref, on integer rows."""
-    nrows, ncols = m.rows, m.cols
-    rows = []
-    for row in m.entries:
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios] if den > 1 else [n for n, _ in ratios]
-        g = gcd(*ints)
-        rows.append([x // g for x in ints] if g > 1 else ints)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+def integer_kernel(field: Field, rows, ncols: int) -> list:
+    """A basis of {v : m v = 0} for the int matrix m with these rows, as int
+    rows: row i is a nonzero multiple of row i of `kernel_basis`, and over
+    GF(p) equal to it.  Over GF(p) the rows are reduced mod p first.
+
+    One `echelon`, of m with its columns reversed.  There the kernel vector
+    of a free column f has a 1 at f, -R[i][f] / R[i][pc] at each pivot pc
+    left of f and zeros at every other free column; times the lcm L of those
+    pivots it is an int row, with L at f.  Reversed back, L is its leading
+    entry and the free columns are unit columns, so the vectors, from the
+    last free column of the reversed matrix to the first, are multiples of
+    the rows of the unique RREF of the kernel.
+    """
+    p = field.p
+    if p is None:
+        rows = [row[::-1] for row in rows]
+    else:
+        rows = [[x % p for x in reversed(row)] for row in rows]
+    red, pivots = echelon(field, rows, ncols)
+    pivot_set = set(pivots)
+    vectors = []
+    for fc in reversed(range(ncols)):
+        if fc in pivot_set:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            row = rows[i]
-            a = row[c]
-            if a and i != r:
-                new = [p * x - a * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    zero = Fraction(0)
-    out = []
-    for row, pc in zip(rows, pivots):
-        p = row[pc]
-        if p == 1:
-            out.append(tuple(Fraction(x) if x else zero for x in row))
+        v = [0] * ncols
+        terms = []
+        for row, pc in zip(red, pivots):
+            if pc > fc:
+                break
+            if row[fc]:
+                terms.append((row[fc], row[pc], pc))
+        if p is None:
+            scale = lcm(*[d for _, d, _ in terms])
+            v[fc] = scale
+            for x, d, pc in terms:
+                v[pc] = -x * (scale // d)
         else:
-            out.append(tuple(Fraction(x, p) if x else zero for x in row))
-    out.extend((zero,) * ncols for _ in range(nrows - r))
-    return RrefResult(Matrix._of(m.field, tuple(out), ncols), tuple(pivots), r)
-
-
-def _rref_mod_p(m: Matrix) -> RrefResult:
-    """The GF(p) back end of rref, on int rows with entries in [0, p)."""
-    p = m.field.p
-    nrows, ncols = m.rows, m.cols
-    rows = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], -1, p)
-            prow = rows[r] = [x * inv % p for x in prow]
-        for i in range(nrows):
-            row = rows[i]
-            a = row[c]
-            if a and i != r:
-                rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-    return RrefResult(Matrix._of(m.field, tuple(map(tuple, rows)), ncols), tuple(pivots), r)
+            v[fc] = 1
+            for x, _, pc in terms:
+                v[pc] = p - x
+        vectors.append(v[::-1])
+    return vectors
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of {v : m v = 0} as rows, in canonical reduced echelon form.
-
-    One rref, of m with its columns reversed.  There the kernel vector of a
-    free column f has a 1 at f, -R[i][f] at the pivots left of f and zeros
-    at every other free column.  Reversed back, that 1 is its leading entry
-    and the free columns are unit columns, so the vectors, from the last
-    free column of the reversed matrix to the first, are already the unique
-    RREF of the kernel.
-    """
-    f, n = m.field, m.cols
-    red = rref(Matrix._of(f, tuple(row[::-1] for row in m.entries), n))
-    pivots, rows = red.pivots, red.matrix.entries
-    zero, one, neg = f.zero(), f.one(), f.neg
-    vectors = []
-    for fc in reversed(range(n)):
-        if fc in pivots:
-            continue
-        v = [zero] * n
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            if pc > fc:
-                break
-            v[pc] = neg(rows[i][fc])
-        vectors.append(tuple(v[::-1]))
-    return Matrix._of(f, tuple(vectors), n)
+    """Basis of {v : m v = 0} as rows, in canonical reduced echelon form:
+    `integer_kernel` of `integer_rows(m)`, each row divided by its leading
+    entry."""
+    f = m.field
+    return Matrix._of(f, canonical_rows(f, integer_kernel(f, integer_rows(m), m.cols)), m.cols)
 
 
 def solve(m: Matrix, b: Vector):
@@ -357,6 +429,18 @@ def try_invert(m: Matrix):
     if red.pivots[:n] != tuple(range(n)) or red.rank != n:
         return None
     return Matrix._of(m.field, tuple(row[n:] for row in red.matrix.entries), n)
+
+
+def integer_inverse(field: Field, rows):
+    """The rows of m^-1 for the square int matrix m with these rows, each a
+    nonzero multiple of its row (over GF(p) the row itself), or None if m is
+    singular: the right half of the `echelon` of [m | I]."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = echelon(field, aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 def dot(field: Field, u: Vector, v: Vector) -> Scalar:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field
-from .matrices import Matrix, Vector, coerce_vector, is_zero_vector, try_invert
+from .matrices import Matrix, Vector, coerce_vector, integer_inverse, integer_rows, is_zero_vector
 from .subspaces import Subspace, enumerate_subspaces, full, span_of, zero_subspace
 
 
@@ -37,20 +37,26 @@ class Nest:
         )
 
     @cached_property
-    def frame(self) -> tuple[Matrix, Matrix, tuple[int, ...]]:
-        """A basis of F^n adapted to the chain, as (S, S^-1, block).  The
-        columns of S are, member by member, the RREF basis rows of each
-        nonzero member whose pivot is not a pivot of its predecessor;
-        block[c] is the atom of column c, so member k is spanned by the
-        columns with block < k."""
+    def frame(self) -> tuple[list, list, tuple[int, ...]]:
+        """A basis of F^n adapted to the chain, as (columns of S, rows of
+        S^-1, block), the columns and rows as ints.  The columns of S are,
+        member by member, the RREF basis rows of each nonzero member whose
+        pivot is not a pivot of its predecessor, each scaled to ints
+        (`integer_rows`); the rows of S^-1 are those of the inverse of that
+        scaled S, each times a nonzero int (`integer_inverse`).  Over GF(p)
+        both are residues, unscaled.  block[c] is the atom of column c, so
+        member k is spanned by the columns with block < k.  The scalings
+        turn S^-1 T S into D_r (S^-1 T S) D_c for nonzero diagonal D_r and
+        D_c, which keeps its zero pattern."""
         columns: list[Vector] = []
         block: list[int] = []
         for k, (pred, member) in enumerate(zip(self.chain, self.chain[1:])):
             fresh = [v for v, pc in zip(member.basis.entries, member.pivots) if pc not in pred.pivots]
             columns += fresh
             block += [k] * len(fresh)
-        s = Matrix._of(self.field, tuple(columns), self.ambient_dim).transpose()
-        return s, try_invert(s), tuple(block)
+        f, n = self.field, self.ambient_dim
+        columns = integer_rows(Matrix._of(f, tuple(columns), n))
+        return columns, integer_inverse(f, list(zip(*columns))), tuple(block)
 
     def __repr__(self) -> str:
         dims = [s.dim for s in self.chain]

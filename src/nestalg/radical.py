@@ -23,9 +23,16 @@ from .algebra import (
     alg_basis,
     in_alg,
 )
-from .matrices import Matrix, kernel_basis
+from .matrices import (
+    Matrix,
+    canonical_rows,
+    echelon,
+    integer_kernel,
+    integer_product,
+    integer_rows,
+)
 from .nests import Nest, ordinal_sum
-from .subspaces import full, separating_functional, span_of
+from .subspaces import separating_functional
 
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
@@ -62,24 +69,32 @@ def ideal_nilpotency_index(ideal: AlgebraBasis) -> int:
     `ideal.basis` is zero; for the strictly-shifting ideal, the number of atoms.
 
     V_0 = F^n and V_k = span{b v : b in basis, v in V_(k-1)} = J^k F^n, as
-    J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.  The
-    V_k only shrink, so V_k = V_(k-1) != 0, or V_n != 0, proves J not
-    nilpotent, and an AssertionError names the basis.  Each step's images
-    are one product of V_(k-1)'s basis with the transposed stacked basis
-    operators, read off n entries at a time.
+    J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.
+    V_k is inside V_(k-1) for every k: V_1 is inside V_0 = F^n, and J. is
+    monotone.  So dim V_k = dim V_(k-1) != 0 means V_k = V_(k-1), and that,
+    or V_n != 0, proves J not nilpotent; an AssertionError names the basis.
+    Each step's images are one integer product of V_(k-1)'s reduced int rows
+    with the transposed stacked basis operators, each operator scaled to
+    ints (`integer_rows` of the vectorized basis), read off n entries at a
+    time: a scaled image spans what the image does.  They are reduced by
+    `echelon`, and no Fraction is built.
     """
-    f, n, basis = ideal.nest.field, ideal.nest.ambient_dim, ideal.basis
-    transposes = Matrix._of(f, tuple(r for b in basis for r in b.entries), n).transpose()
-    space = full(f, n)
+    f, n = ideal.nest.field, ideal.nest.ambient_dim
+    ints = integer_rows(ideal.vectorized)
+    width = len(ints) * n
+    transposes = list(zip(*[v[i : i + n] for v in ints for i in range(0, n * n, n)])) or [()] * n
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        products = (space.basis @ transposes).entries
-        image = span_of([w[j : j + n] for w in products for j in range(0, len(w), n)], f, n)
-        if image.dim == 0:
+        products = integer_product(f, rows, transposes, width)
+        image, _ = echelon(f, [w[j : j + n] for w in products for j in range(0, width, n)], n)
+        if not image:
             return k
-        if image == space:
+        if len(image) == len(rows):
             break
-        space = image
-    raise AssertionError(f"the span of {basis} is not nilpotent: J^{k} F^n has dim {image.dim}")
+        rows = image
+    raise AssertionError(
+        f"the span of {ideal.basis} is not nilpotent: J^{k} F^n has dim {len(image)}"
+    )
 
 
 def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
@@ -116,15 +131,19 @@ def radical_basis_oracle(alg: AlgebraBasis) -> AlgebraBasis:
     if alg.kind != FULL:
         raise ValueError("the trace-form radical needs the algebra basis")
     f, n = alg.nest.field, alg.nest.ambient_dim
-    stacked = alg.vectorized
-    # trace(A B) = vec(A) . vec(B^T): column j of the right factor is vec(B_j^T)
-    vec_transposes = tuple(b.transpose().vectorize() for b in alg.basis)
-    gram = stacked @ Matrix._of(f, vec_transposes, n * n).transpose()
+    # The basis scaled to ints by one common scale c (`integer_rows`), so
+    # the Gram matrix is c^2 tr(a_i a_j), with the same kernel.
+    # trace(A B) = vec(A) . vec(B^T), and vec(B^T) is vec(B) read down its
+    # columns.
+    stacked = integer_rows(alg.vectorized, common=True)
+    vec_transposes = [[x for i in range(n) for x in v[i::n]] for v in stacked]
+    gram = integer_product(f, stacked, list(zip(*vec_transposes)), alg.dim)
     # The kernel coordinates and the stacked algebra basis (as alg_basis
     # emits it) are both in RREF, and the latter's pivot columns are unit
-    # columns, so their product is already the canonical basis of the span.
-    rows = (kernel_basis(gram) @ stacked).entries
-    return AlgebraBasis(alg.nest, RADICAL, _operators(f, rows, (n, n)))
+    # columns, so their product is the canonical basis of the span up to a
+    # multiple per row, which `canonical_rows` divides out.
+    rows = integer_product(f, integer_kernel(f, gram, alg.dim), stacked, n * n)
+    return AlgebraBasis(alg.nest, RADICAL, _operators(f, canonical_rows(f, rows), (n, n)))
 
 
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:

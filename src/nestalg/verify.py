@@ -32,7 +32,7 @@ from .algebra import (
     strict_approximant,
 )
 from .fields import GF2, QQ
-from .matrices import Matrix, rref, try_invert
+from .matrices import Matrix, echelon, rref, try_invert
 from .nests import coordinate_nest, flag_nest, iter_compositions, iter_nests, ordinal_sum
 from .radical import (
     in_strict_ideal,
@@ -189,16 +189,16 @@ def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
 
 def _span_closed(field, n, ops) -> bool:
     """Is the span of the n x n operators ops (entry tuples, here the
-    conjugates S^-1 t S of `_conjugates`) a span of matrix units closed
-    under products?  One rref of the vectorized ops: if
-    every reduced row has one nonzero entry, the span is that of the units
-    E_rc at the pivots, and as E_rc E_cd = E_rd it is closed iff
-    cols[c] <= cols[r] for every unit E_rc, where cols[r] holds the columns
-    of the units in row r.  False for any other span, whose closure is left
-    to `_closure_escape`."""
-    red = rref(Matrix._of(field, tuple(tuple(itertools.chain(*t)) for t in ops), n * n))
+    conjugates S^-1 t S of `_conjugates`, up to their diagonal scaling,
+    which keeps the pattern read here) a span of matrix units closed under
+    products?  One `echelon` of the vectorized ops: if every reduced row
+    has one nonzero entry, the span is that of the units E_rc at the
+    pivots, and as E_rc E_cd = E_rd it is closed iff cols[c] <= cols[r] for
+    every unit E_rc, where cols[r] holds the columns of the units in row r.
+    False for any other span, whose closure is left to `_closure_escape`."""
+    rows, _ = echelon(field, [list(itertools.chain(*t)) for t in ops], n * n)
     cols: dict[int, set[int]] = {}
-    for row in red.matrix.entries[: red.rank]:
+    for row in rows:
         support = [k for k, x in enumerate(row) if x]
         if len(support) != 1:
             return False

@@ -465,7 +465,7 @@ def test_all_rank_ones_count():
 
 def test_rank_ones_and_matrices_reject_assignment():
     r = all_rank_ones_in_alg(flag_nest(GF2, 2))[0]
-    for name in ("x", "phi", "matrix"):
+    for name in ("x", "phi", "matrix", "extra"):
         with pytest.raises(FrozenInstanceError):
             setattr(r, name, None)
     m = Matrix._of(GF2, ((1, 0), (0, 1)), 2)

@@ -1,0 +1,262 @@
+"""The integer elimination path against Fraction references.
+
+Over Q the constraint kernels, the nilpotency index and the trace-form
+oracle run on int rows, each a nonzero multiple of the row it stands for,
+and build Fractions only for the canonical rows they return.  The
+references here are the same computations on Fraction matrices.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+from nestalg.algebra import (
+    FULL,
+    STRICT,
+    AlgebraBasis,
+    _constraint_kernel,
+    _forbidden,
+    alg_basis,
+    idempotent_onto,
+    rank_decompose,
+    strict_approximant,
+)
+from nestalg.fields import GF, GF2, GF3, QQ
+from nestalg.matrices import (
+    Matrix,
+    echelon,
+    integer_kernel,
+    integer_product,
+    integer_rows,
+    kernel_basis,
+    rref,
+    solve,
+    try_invert,
+)
+from nestalg.nests import new_nest
+from nestalg.radical import (
+    ideal_nilpotency_index,
+    ordsum_analyze,
+    quasi_inverse,
+    radical_basis_oracle,
+    radical_report,
+    strict_ideal_basis,
+)
+from nestalg.sampling import random_nest, random_span_element
+from nestalg.subspaces import full, span_of
+
+
+def rand_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def fraction_frame(nest):
+    """S and S^-1 as Fraction matrices, S with the fresh member rows of
+    `Nest.frame` as its columns."""
+    columns = []
+    for pred, member in zip(nest.chain, nest.chain[1:]):
+        columns += [v for v, pc in zip(member.basis.entries, member.pivots) if pc not in pred.pivots]
+    s = Matrix(nest.field, columns).transpose()
+    return s, try_invert(s)
+
+
+def fractional_nest(rng, n):
+    """A nest of Q^n on a flag of vectors with fractional entries, at a
+    random set of cuts, whose frame has a non-integral S^-1."""
+    while True:
+        vectors = [tuple(rand_fraction(rng) for _ in range(n)) for _ in range(n)]
+        if span_of(vectors, QQ, n).dim < n:
+            continue
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        nest = new_nest(QQ, n, [span_of(vectors[:c], QQ, n) for c in cuts])
+        _, s_inv = fraction_frame(nest)
+        if any(x.denominator != 1 for row in s_inv.entries for x in row):
+            return nest
+
+
+def sample_nests(seed):
+    """Fractional nests of Q^n for n <= 6, and random nests of GF(2) and GF(3)."""
+    rng = random.Random(seed)
+    nests = [fractional_nest(rng, n) for n in (2, 3, 3, 4, 4, 5, 5, 6)]
+    nests += [random_nest(field, rng.randint(1, 5), rng) for field in (GF2, GF3) for _ in range(4)]
+    return rng, nests
+
+
+def multiple_of(ints, row) -> bool:
+    """Is the int row a nonzero multiple of the row of field elements?  Over
+    GF(p) the residues must be the row itself."""
+    if not any(row):
+        return not any(ints)
+    if isinstance(row[0], int):
+        return tuple(ints) == tuple(row)
+    j = next(j for j, x in enumerate(row) if x)
+    scale = Fraction(ints[j]) / row[j]
+    return scale != 0 and all(Fraction(a) == scale * b for a, b in zip(ints, row))
+
+
+def constraint_kernel_reference(nest, kind):
+    """The vectorized operators T with S^-1 T S zero at every forbidden
+    entry, from Fraction rows a_i * v_j."""
+    f, n = nest.field, nest.ambient_dim
+    s, s_inv = fraction_frame(nest)
+    block = nest.frame[2]
+    columns = s.transpose().entries
+    rows = tuple(
+        tuple(f.mul(a, v) for a in s_inv.entries[r] for v in columns[c])
+        for r in range(n)
+        for c in range(n)
+        if _forbidden(kind, block[r], block[c])
+    )
+    return kernel_basis(Matrix(f, rows, cols=n * n))
+
+
+def index_reference(ideal):
+    """The nilpotency index by Fraction product spans, or None when J^k F^n
+    stalls at a nonzero space."""
+    f, n, basis = ideal.nest.field, ideal.nest.ambient_dim, ideal.basis
+    transposes = Matrix._of(f, tuple(r for b in basis for r in b.entries), n).transpose()
+    space = full(f, n)
+    for k in range(1, n + 1):
+        products = (space.basis @ transposes).entries
+        image = span_of([w[j : j + n] for w in products for j in range(0, len(w), n)], f, n)
+        if image.dim == 0:
+            return k
+        if image == space:
+            return None
+        space = image
+    return None
+
+
+def oracle_reference(alg):
+    """The trace-form kernel by Fraction products: the Gram matrix of
+    tr(a_i a_j), its kernel, and the kernel coordinates times the basis."""
+    f, n = alg.nest.field, alg.nest.ambient_dim
+    stacked = alg.vectorized
+    vec_transposes = tuple(b.transpose().vectorize() for b in alg.basis)
+    gram = stacked @ Matrix._of(f, vec_transposes, n * n).transpose()
+    return (kernel_basis(gram) @ stacked).entries
+
+
+def test_fractional_nests_have_non_integral_inverse_frames():
+    _, nests = sample_nests(71)
+    for nest in nests:
+        s, s_inv = fraction_frame(nest)
+        columns, inv_rows, _ = nest.frame
+        assert all(type(x) is int for row in (*columns, *inv_rows) for x in row)
+        assert all(multiple_of(c, v) for c, v in zip(columns, s.transpose().entries))
+        assert all(multiple_of(a, row) for a, row in zip(inv_rows, s_inv.entries))
+
+
+def test_constraint_kernels_match_fraction_reference():
+    _, nests = sample_nests(72)
+    for nest in nests:
+        for kind in (FULL, STRICT):
+            got = Matrix._of(nest.field, tuple(t.vectorize() for t in _constraint_kernel(nest, kind)),
+                             nest.ambient_dim ** 2)
+            assert got == constraint_kernel_reference(nest, kind)
+
+
+def test_nilpotency_index_matches_fraction_reference():
+    rng, nests = sample_nests(73)
+    for nest in nests:
+        strict = strict_ideal_basis(nest)
+        ideals = [strict, radical_basis_oracle(alg_basis(nest)), alg_basis(nest)]
+        for _ in range(3):
+            part = rng.sample(strict.basis, rng.randint(0, strict.dim))
+            ideals.append(AlgebraBasis(nest, STRICT, tuple(part)))
+        ideals.append(AlgebraBasis(nest, STRICT, (random_span_element(strict, rng),)))
+        for ideal in ideals:
+            want = index_reference(ideal)
+            try:
+                got = ideal_nilpotency_index(ideal)
+            except AssertionError:
+                got = None
+            assert got == want
+        assert ideal_nilpotency_index(strict) == len(nest.atoms)
+
+
+def test_radical_oracle_matches_fraction_reference():
+    _, nests = sample_nests(74)
+    for nest in nests:
+        alg = alg_basis(nest)
+        rad = radical_basis_oracle(alg)
+        assert tuple(t.vectorize() for t in rad.basis) == oracle_reference(alg)
+        assert rad.basis == strict_ideal_basis(nest).basis
+
+
+def test_integer_product_is_a_multiple_of_the_entrywise_sum():
+    rng = random.Random(75)
+    for _ in range(60):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = Matrix(QQ, [[rand_fraction(rng) for _ in range(inner)] for _ in range(rows)], cols=inner)
+        b = Matrix(QQ, [[rand_fraction(rng) for _ in range(cols)] for _ in range(inner)], cols=cols)
+        got = integer_product(QQ, integer_rows(a), integer_rows(b, common=True), cols)
+        want = [
+            [sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+            for i in range(rows)
+        ]
+        assert len(got) == rows
+        assert all(type(x) is int for row in got for x in row)
+        assert all(multiple_of(g, w) for g, w in zip(got, want))
+    for field in (GF2, GF3, GF(7)):
+        for _ in range(20):
+            rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            a = [[rng.randrange(field.p) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randrange(field.p) for _ in range(cols)] for _ in range(inner)]
+            want = [
+                tuple(sum(a[i][k] * b[k][j] for k in range(inner)) % field.p for j in range(cols))
+                for i in range(rows)
+            ]
+            assert integer_product(field, a, b, cols) == want
+
+
+def test_echelon_and_integer_kernel_are_multiples_of_the_canonical_rows():
+    rng = random.Random(76)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+        m = Matrix(QQ, [[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+        scales = [rng.choice((-3, 2, 5)) for _ in range(rows)]
+        scaled = [[x * c for x in row] for row, c in zip(integer_rows(m), scales)]
+        red, pivots = echelon(QQ, scaled, cols)
+        canon = rref(m)
+        assert tuple(pivots) == canon.pivots
+        assert all(multiple_of(r, c) for r, c in zip(red, canon.matrix.entries))
+        kernel = integer_kernel(QQ, scaled, cols)
+        assert len(kernel) == kernel_basis(m).rows
+        assert all(multiple_of(k, c) for k, c in zip(kernel, kernel_basis(m).entries))
+
+
+def _q_matrices(obj):
+    """Every Matrix over Q reachable from obj through dataclass fields (of
+    subspaces, nests, bases, reports), tuples and lists."""
+    if isinstance(obj, Matrix):
+        if obj.field == QQ:
+            yield obj
+    elif dataclasses.is_dataclass(obj):
+        for fld in dataclasses.fields(obj):
+            yield from _q_matrices(getattr(obj, fld.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _q_matrices(item)
+
+
+def test_every_returned_q_matrix_holds_fractions():
+    # an int entry would leave the report bytes unchanged, so look at types
+    rng, nests = sample_nests(77)
+    results = []
+    for nest in nests[:8]:
+        n = nest.ambient_dim
+        alg, strict = alg_basis(nest), strict_ideal_basis(nest)
+        s, _ = fraction_frame(nest)
+        t = random_span_element(alg, rng, nonzero=True)
+        member = nest.chain[-2] if nest.chain[-2].dim else nest.chain[-1]
+        results += [alg, strict, radical_basis_oracle(alg), radical_report(nest), nest.dual()]
+        results += [kernel_basis(s), rref(s).matrix, try_invert(s), s @ s, idempotent_onto(nest, member)]
+        results += [rank_decompose(nest, t), strict_approximant(nest, t, s.entries[:1])]
+        results += [quasi_inverse(nest, t, random_span_element(strict, rng)), member.annihilator()]
+        results += [ordsum_analyze(nest, nest, [Matrix.identity(QQ, 2 * n)])]
+        results.append(Matrix._of(QQ, (solve(s, s.entries[0]),), n))
+    matrices = list(_q_matrices(results))
+    assert len(matrices) > 100
+    for m in matrices:
+        assert all(type(x) is Fraction for row in m.entries for x in row), m
