@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import lcm
 from operator import or_
 
 from .fields import Field
@@ -14,7 +15,9 @@ from .matrices import (
     Vector,
     canonical_rows,
     coerce_vector,
+    common_integer_rows,
     dot,
+    echelon,
     integer_kernel,
     integer_product,
     integer_rows,
@@ -57,14 +60,40 @@ class AlgebraBasis:
         return Matrix._of(f, tuple(b.vectorize() for b in self.basis), size)
 
     @cached_property
+    def scaled(self) -> tuple[list, int]:
+        """(ints, scale): `vectorized` times one nonzero int scale, as ints
+        (over GF(p) the residues, scale 1).  Carried by the bases the library
+        builds (`_emit`); any other basis derives them from its `vectorized`."""
+        return common_integer_rows(self.vectorized)
+
+    @cached_property
     def span(self) -> Subspace:
-        """The span in F^(n^2) of the vectorized basis, built on first use by
-        one rref, so membership holds for a basis in any form."""
-        return span_of(self.vectorized.entries, self.nest.field, self.nest.ambient_dim ** 2)
+        """The span in F^(n^2) of the basis, built on first use by one
+        `echelon` of the `scaled` ints, so membership holds for any basis."""
+        f, size = self.nest.field, self.nest.ambient_dim ** 2
+        rows, _ = echelon(f, self.scaled[0], size)
+        return Subspace(f, size, Matrix._of(f, canonical_rows(f, rows), size))
 
     def contains(self, t: Matrix) -> bool:
         """Is t in the span: is its residual against `span` zero?"""
+        _check_operator(self.nest, t)
         return is_zero_vector(self.span.reduce(t.vectorize()))
+
+
+def _emit(nest: Nest, kind: str, ints) -> AlgebraBasis:
+    """The basis of the int rows ints, each divided by its leading entry
+    (`canonical_rows`), carrying `scaled` from them: over QQ each row times
+    L / lead for the lcm L of the leads, the scale; over GF(p) the canonical
+    residue rows themselves."""
+    f, n = nest.field, nest.ambient_dim
+    rows, scale = canonical_rows(f, ints), 1
+    basis = AlgebraBasis(nest, kind, _operators(f, rows, (n, n)))
+    if f.p is None:
+        leads = [next(filter(None, row)) for row in ints]
+        scale = lcm(*leads)
+        rows = [r if a == scale else [x * (scale // a) for x in r] for r, a in zip(ints, leads)]
+    basis.__dict__["scaled"] = (rows, scale)  # the cache of the `scaled` property
+    return basis
 
 
 class MembershipError(ValueError):
@@ -91,13 +120,13 @@ def _forbidden(kind: str, row_block: int, col_block: int) -> bool:
     return row_block > col_block if kind == FULL else row_block >= col_block
 
 
-def _constraint_kernel(nest: Nest, kind: str) -> tuple[Matrix, ...]:
-    """The operators T of the kind: S^-1 T S is zero at every `_forbidden`
-    entry (r, c).  Each entry is one int row on the n^2 entries of T,
-    row-major: a_i * v_j against T_ij, for row a of S^-1 and column v of S
-    (`Nest.frame`, so the row is a nonzero multiple of the entry's).  The
-    entries are independent coordinates of T, so the rows are as many as
-    their rank."""
+def _constraint_kernel(nest: Nest, kind: str) -> AlgebraBasis:
+    """The canonical basis of the operators T of the kind: S^-1 T S is zero
+    at every `_forbidden` entry (r, c).  Each entry is one int row on the
+    n^2 entries of T, row-major: a_i * v_j against T_ij, for row a of S^-1
+    and column v of S (`Nest.frame`, so the row is a nonzero multiple of the
+    entry's).  The entries are independent coordinates of T, so the rows
+    are as many as their rank."""
     f, n = nest.field, nest.ambient_dim
     columns, inv_rows, block = nest.frame
     rows = [
@@ -106,23 +135,22 @@ def _constraint_kernel(nest: Nest, kind: str) -> tuple[Matrix, ...]:
         for c in range(n)
         if _forbidden(kind, block[r], block[c])
     ]
-    return _operators(f, canonical_rows(f, integer_kernel(f, rows, n * n)), (n, n))
+    return _emit(nest, kind, integer_kernel(f, rows, n * n))
 
 
-def _conjugates(nest: Nest, ops) -> list[tuple]:
-    """The entries of S^-1 t S for each operator t of ops, S of `Nest.frame`,
-    up to a diagonal scaling D_r (S^-1 t S) D_c with nonzero D_r, D_c, as
-    ints: t is scaled by the lcm of its denominators (`integer_rows` of the
-    vectorized ops).  Two integer products: the ops stacked @ S, then S^-1
-    @ those side by side."""
+def _conjugates(nest: Nest, ints) -> list[tuple]:
+    """The entries of S^-1 t S for each operator t, S of `Nest.frame`, up to
+    a diagonal scaling D_r (S^-1 t S) D_c with nonzero D_r, D_c, as ints.
+    Each row of ints is a vectorized t times a nonzero int: `scaled` of a
+    basis, or `integer_rows` of one operator.  Two integer products: the
+    ops stacked @ S, then S^-1 @ those side by side."""
     f, n = nest.field, nest.ambient_dim
     columns, inv_rows, _ = nest.frame
-    ints = integer_rows(Matrix._of(f, tuple(t.vectorize() for t in ops), n * n))
     stacked = [v[i : i + n] for v in ints for i in range(0, n * n, n)]
     right = integer_product(f, stacked, list(zip(*columns)), n)
     side_by_side = [list(itertools.chain(*right[r::n])) for r in range(n)]
-    rows = integer_product(f, inv_rows, side_by_side, len(ops) * n)
-    return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ops))]
+    rows = integer_product(f, inv_rows, side_by_side, len(ints) * n)
+    return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ints))]
 
 
 def _first_violation(nest: Nest, kind: str, conjugates) -> int | None:
@@ -144,7 +172,7 @@ def _operators(field: Field, rows, shape: tuple[int, int]) -> tuple[Matrix, ...]
 
 def alg_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of the algebra of all operators preserving the chain."""
-    return AlgebraBasis(nest, FULL, _constraint_kernel(nest, FULL))
+    return _constraint_kernel(nest, FULL)
 
 
 def _violation(nest: Nest, t: Matrix, kind: str):
@@ -153,7 +181,8 @@ def _violation(nest: Nest, t: Matrix, kind: str):
     first member whose constraint t breaks (`_first_violation`): its first
     basis row v with t v outside the member (FULL) or its predecessor."""
     _check_operator(nest, t)
-    k = _first_violation(nest, kind, _conjugates(nest, (t,)))
+    ints = integer_rows(Matrix._of(nest.field, (t.vectorize(),), t.rows * t.cols))
+    k = _first_violation(nest, kind, _conjugates(nest, ints))
     if k is None:
         return None
     source = nest.chain[k + 1]

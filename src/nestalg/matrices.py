@@ -181,20 +181,22 @@ def _scaled(rows) -> tuple[list, list[int]]:
     return ints, dens
 
 
-def integer_rows(m: Matrix, common: bool = False):
-    """The rows of m as ints, each a nonzero multiple of its row of m.
+def integer_rows(m: Matrix):
+    """The rows of m as ints, each a nonzero multiple of its row of m: over
+    QQ scaled by the lcm of its own denominators, over GF(p) m's residues as
+    they are."""
+    return m.entries if m.field.p is not None else _scaled(m.entries)[0]
 
-    Over QQ each row is scaled by the lcm of its own denominators or, with
-    `common`, every row by the lcm of all of m's denominators, so that the
-    ints are one multiple of m.  Over GF(p) they are m's residues as they are.
-    """
+
+def common_integer_rows(m: Matrix) -> tuple[list, int]:
+    """(ints, scale): the rows of m times one nonzero int scale, as ints,
+    so that the ints are one multiple of m.  Over QQ the scale is the lcm of
+    all of m's denominators; over GF(p) it is 1, the ints m's residues."""
     if m.field.p is not None:
-        return m.entries
+        return m.entries, 1
     ints, dens = _scaled(m.entries)
-    if common:
-        den = lcm(*dens)
-        ints = [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)]
-    return ints
+    den = lcm(*dens)
+    return [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)], den
 
 
 def _accumulate(a_rows, b_sparse, cols: int) -> list:
@@ -215,8 +217,8 @@ def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
     """The product of two int matrices with cols columns, reduced mod p over
     GF(p).  Scaling a row of a scales that row of the product, and scaling
     all of b scales all of it, so `integer_rows(A)` times
-    `integer_rows(B, common=True)` is A @ B up to a nonzero multiple per
-    row, with no Fraction built."""
+    `common_integer_rows(B)` is A @ B up to a nonzero multiple per row, with
+    no Fraction built."""
     out = _accumulate(a_rows, [[(j, b) for j, b in enumerate(row) if b] for row in b_rows], cols)
     p = field.p
     return out if p is None else [tuple([x % p for x in row]) for row in out]
@@ -230,15 +232,17 @@ def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
     b_nonzero = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in b_rows]
     den_b = lcm(*[d for row in b_nonzero for _, (_, d) in row])
     b_sparse = [[(j, n * (den_b // d)) for j, (n, d) in row] for row in b_nonzero]
+    out = _accumulate(a_ints, b_sparse, cols)
+    return tuple([fraction_row(acc, den_a * den_b) for acc, den_a in zip(out, a_dens)])
+
+
+def fraction_row(row, den: int) -> tuple:
+    """The int row divided by the nonzero int den, as Fractions, every zero
+    the one shared zero of QQ."""
     zero = QQ.zero()
-    out = []
-    for acc, den_a in zip(_accumulate(a_ints, b_sparse, cols), a_dens):
-        den = den_a * den_b
-        if den == 1:
-            out.append(tuple([Fraction(x) if x else zero for x in acc]))
-        else:
-            out.append(tuple([Fraction(x, den) if x else zero for x in acc]))
-    return tuple(out)
+    if den == 1:
+        return tuple([Fraction(x) if x else zero for x in row])
+    return tuple([Fraction(x, den) if x else zero for x in row])
 
 
 @dataclass(frozen=True)
@@ -314,22 +318,15 @@ def canonical_rows(field: Field, rows) -> tuple:
     Over GF(p) the rows must be residues."""
     p = field.p
     out = []
-    if p is None:
-        zero = field.zero()
-        for row in rows:
-            lead = next(filter(None, row))
-            if lead == 1:
-                out.append(tuple([Fraction(x) if x else zero for x in row]))
-            else:
-                out.append(tuple([Fraction(x, lead) if x else zero for x in row]))
-    else:
-        for row in rows:
-            lead = next(filter(None, row))
-            if lead == 1:
-                out.append(tuple(row))
-            else:
-                inv = pow(lead, -1, p)
-                out.append(tuple([x * inv % p for x in row]))
+    for row in rows:
+        lead = next(filter(None, row))
+        if p is None:
+            out.append(fraction_row(row, lead))
+        elif lead == 1:
+            out.append(tuple(row))
+        else:
+            inv = pow(lead, -1, p)
+            out.append(tuple([x * inv % p for x in row]))
     return tuple(out)
 
 
@@ -417,30 +414,25 @@ def solve(m: Matrix, b: Vector):
 
 
 def try_invert(m: Matrix):
-    """Two-sided inverse of a square matrix, or None if singular."""
+    """Two-sided inverse of a square matrix, or None if singular: the
+    `integer_inverse` of the int rows of [m | I], each row divided by its
+    left pivot (`canonical_rows`) and cut to its right half."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    ident = Matrix.identity(m.field, n)
-    aug = Matrix._of(
-        m.field, tuple(row + irow for row, irow in zip(m.entries, ident.entries)), 2 * n
-    )
-    red = rref(aug)
-    if red.pivots[:n] != tuple(range(n)) or red.rank != n:
+    f, n = m.field, m.rows
+    aug = tuple(row + irow for row, irow in zip(m.entries, Matrix.identity(f, n).entries))
+    red = integer_inverse(f, integer_rows(Matrix._of(f, aug, 2 * n)))
+    if red is None:
         return None
-    return Matrix._of(m.field, tuple(row[n:] for row in red.matrix.entries), n)
+    return Matrix._of(f, tuple(row[n:] for row in canonical_rows(f, red)), n)
 
 
 def integer_inverse(field: Field, rows):
-    """The rows of m^-1 for the square int matrix m with these rows, each a
-    nonzero multiple of its row (over GF(p) the row itself), or None if m is
-    singular: the right half of the `echelon` of [m | I]."""
-    n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = echelon(field, aug, 2 * n)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
+    """The `echelon` of the int rows of [m | I] for a square m, each row a
+    nonzero multiple of its own, or None if m is singular.  Its row i is
+    [c e_i | c times row i of m^-1] for a nonzero c (over GF(p), c = 1)."""
+    red, pivots = echelon(field, rows, 2 * len(rows))
+    return red if pivots == list(range(len(rows))) else None
 
 
 def dot(field: Field, u: Vector, v: Vector) -> Scalar:

@@ -56,7 +56,8 @@ class Nest:
             block += [k] * len(fresh)
         f, n = self.field, self.ambient_dim
         columns = integer_rows(Matrix._of(f, tuple(columns), n))
-        return columns, integer_inverse(f, list(zip(*columns))), tuple(block)
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
+        return columns, [row[n:] for row in integer_inverse(f, aug)], tuple(block)
 
     def __repr__(self) -> str:
         dims = [s.dim for s in self.chain]
@@ -64,9 +65,6 @@ class Nest:
 
     def __contains__(self, s: Subspace) -> bool:
         return s in self.chain
-
-    def index_of(self, s: Subspace) -> int:
-        return self.chain.index(s)
 
     def principal(self, x) -> Subspace:
         """Smallest member containing x; x must be nonzero."""
@@ -83,19 +81,6 @@ class Nest:
             if member.contains(x):
                 return pred
         raise AssertionError("unreachable: the top member contains every vector")
-
-    def join_irreducibles(self) -> list[tuple[Subspace, Vector]]:
-        """Every nonzero member with a witness x whose principal member it is.
-
-        The witness is the first basis vector of the member outside its
-        predecessor.
-        """
-        out = []
-        for i in range(1, len(self.chain)):
-            member, pred = self.chain[i], self.chain[i - 1]
-            witness = next(row for row in member.basis.entries if not pred.contains(row))
-            out.append((member, witness))
-        return out
 
     def dual(self) -> Nest:
         """The chain of annihilators in the coordinate dual, reversed."""

@@ -17,27 +17,20 @@ from .algebra import (
     AlgebraBasis,
     _check_operator,
     _constraint_kernel,
-    _operators,
+    _emit,
     _require_member,
     _violation,
     alg_basis,
     in_alg,
 )
-from .matrices import (
-    Matrix,
-    canonical_rows,
-    echelon,
-    integer_kernel,
-    integer_product,
-    integer_rows,
-)
+from .matrices import Matrix, echelon, integer_kernel, integer_product
 from .nests import Nest, ordinal_sum
 from .subspaces import separating_functional
 
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of {T : T maps each member into its predecessor}."""
-    return AlgebraBasis(nest, STRICT, _constraint_kernel(nest, STRICT))
+    return _constraint_kernel(nest, STRICT)
 
 
 def in_strict_ideal_witness(nest: Nest, t: Matrix):
@@ -74,13 +67,12 @@ def ideal_nilpotency_index(ideal: AlgebraBasis) -> int:
     monotone.  So dim V_k = dim V_(k-1) != 0 means V_k = V_(k-1), and that,
     or V_n != 0, proves J not nilpotent; an AssertionError names the basis.
     Each step's images are one integer product of V_(k-1)'s reduced int rows
-    with the transposed stacked basis operators, each operator scaled to
-    ints (`integer_rows` of the vectorized basis), read off n entries at a
-    time: a scaled image spans what the image does.  They are reduced by
-    `echelon`, and no Fraction is built.
+    with the transposed stacked basis operators, as the basis' `scaled`
+    ints, read off n entries at a time: a scaled image spans what the image
+    does.  They are reduced by `echelon`, and no Fraction is built.
     """
     f, n = ideal.nest.field, ideal.nest.ambient_dim
-    ints = integer_rows(ideal.vectorized)
+    ints = ideal.scaled[0]
     width = len(ints) * n
     transposes = list(zip(*[v[i : i + n] for v in ints for i in range(0, n * n, n)])) or [()] * n
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -131,19 +123,19 @@ def radical_basis_oracle(alg: AlgebraBasis) -> AlgebraBasis:
     if alg.kind != FULL:
         raise ValueError("the trace-form radical needs the algebra basis")
     f, n = alg.nest.field, alg.nest.ambient_dim
-    # The basis scaled to ints by one common scale c (`integer_rows`), so
+    # The basis as ints times one common scale c (`AlgebraBasis.scaled`), so
     # the Gram matrix is c^2 tr(a_i a_j), with the same kernel.
     # trace(A B) = vec(A) . vec(B^T), and vec(B^T) is vec(B) read down its
     # columns.
-    stacked = integer_rows(alg.vectorized, common=True)
+    stacked = alg.scaled[0]
     vec_transposes = [[x for i in range(n) for x in v[i::n]] for v in stacked]
     gram = integer_product(f, stacked, list(zip(*vec_transposes)), alg.dim)
     # The kernel coordinates and the stacked algebra basis (as alg_basis
     # emits it) are both in RREF, and the latter's pivot columns are unit
     # columns, so their product is the canonical basis of the span up to a
-    # multiple per row, which `canonical_rows` divides out.
+    # multiple per row, which `_emit` divides out.
     rows = integer_product(f, integer_kernel(f, gram, alg.dim), stacked, n * n)
-    return AlgebraBasis(alg.nest, RADICAL, _operators(f, canonical_rows(f, rows), (n, n)))
+    return _emit(alg.nest, RADICAL, rows)
 
 
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:

@@ -9,7 +9,7 @@ import random
 
 from .algebra import AlgebraBasis, _operators
 from .fields import Field
-from .matrices import Matrix
+from .matrices import Matrix, fraction_row, integer_product
 from .nests import Nest, new_nest
 from .subspaces import Subspace, span_of
 
@@ -69,12 +69,14 @@ def random_nest(field: Field, n: int, rng: random.Random, members: int | None = 
 
 def random_span_element(basis: AlgebraBasis, rng: random.Random, nonzero: bool = False) -> Matrix:
     """A random combination of the basis with small coefficients, drawn in
-    basis order and formed as one coefficient-row product with the
-    vectorized basis."""
+    basis order and formed as one integer product of the coefficient row
+    with the basis' `scaled` ints, divided once by their scale."""
     f, n = basis.nest.field, basis.nest.ambient_dim
+    ints, scale = basis.scaled
     while True:
-        coeffs = Matrix._of(f, (tuple(random_scalar(f, rng) for _ in basis.basis),), basis.dim)
-        [t] = _operators(f, (coeffs @ basis.vectorized).entries, (n, n))
+        coeffs = [int(random_scalar(f, rng)) for _ in basis.basis]
+        [row] = integer_product(f, [coeffs], ints, n * n)
+        [t] = _operators(f, (fraction_row(row, scale) if f.is_rationals else row,), (n, n))
         if not nonzero or not t.is_zero():
             return t
         if not basis.basis:

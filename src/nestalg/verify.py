@@ -179,7 +179,7 @@ def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     atoms = nest.atoms
     ck.record("algebra-dimension", alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms), ce)
     ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
-    conjugates = _conjugates(nest, alg.basis + strict.basis)
+    conjugates = _conjugates(nest, [*alg.scaled[0], *strict.scaled[0]])
     alg_conj, strict_conj = conjugates[: alg.dim], conjugates[alg.dim :]
     ck.record("basis-members-in-algebra", _first_violation(nest, FULL, alg_conj) is None, ce)
     ck.record("strict-members-shift", _first_violation(nest, STRICT, strict_conj) is None, ce)

