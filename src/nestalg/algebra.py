@@ -42,15 +42,29 @@ RADICAL = "radical"
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """A canonical basis of a space of operators attached to a nest."""
+    """A canonical basis of a space of operators attached to a nest.
+
+    A basis the library builds (`_emit`) holds only its `scaled` ints; its
+    Fraction `basis` is built from them the first time it is read."""
 
     nest: Nest
     kind: str
     basis: tuple[Matrix, ...]
 
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: the `basis` of an
+        # emitted basis, each `scaled` row divided by its leading entry (over
+        # GF(p) the canonical residue rows as they are).
+        if name != "basis" or "scaled" not in self.__dict__:
+            raise AttributeError(name)
+        f, n = self.nest.field, self.nest.ambient_dim
+        basis = self.__dict__["basis"] = _operators(f, canonical_rows(f, self.scaled[0]), (n, n))
+        return basis
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        """The row count of `scaled`, read with no Fraction built."""
+        return len(self.scaled[0])
 
     @cached_property
     def vectorized(self) -> Matrix:
@@ -81,18 +95,19 @@ class AlgebraBasis:
 
 
 def _emit(nest: Nest, kind: str, ints) -> AlgebraBasis:
-    """The basis of the int rows ints, each divided by its leading entry
-    (`canonical_rows`), carrying `scaled` from them: over QQ each row times
-    L / lead for the lcm L of the leads, the scale; over GF(p) the canonical
-    residue rows themselves."""
-    f, n = nest.field, nest.ambient_dim
-    rows, scale = canonical_rows(f, ints), 1
-    basis = AlgebraBasis(nest, kind, _operators(f, rows, (n, n)))
-    if f.p is None:
+    """The basis whose rows are the int rows ints, each divided by its
+    leading entry, holding only `scaled`: over QQ each row times L / lead for
+    the lcm L of the leads, the scale; over GF(p) ints themselves, which
+    must be canonical residue rows (leading entry 1), as `echelon` and
+    `integer_kernel` give them.  The dataclass __init__ is bypassed, so
+    that `basis` stays unset until it is read."""
+    rows, scale = ints, 1
+    if nest.field.p is None:
         leads = [next(filter(None, row)) for row in ints]
         scale = lcm(*leads)
         rows = [r if a == scale else [x * (scale // a) for x in r] for r, a in zip(ints, leads)]
-    basis.__dict__["scaled"] = (rows, scale)  # the cache of the `scaled` property
+    basis = object.__new__(AlgebraBasis)
+    basis.__dict__.update(nest=nest, kind=kind, scaled=(rows, scale))
     return basis
 
 
@@ -122,20 +137,27 @@ def _forbidden(kind: str, row_block: int, col_block: int) -> bool:
 
 def _constraint_kernel(nest: Nest, kind: str) -> AlgebraBasis:
     """The canonical basis of the operators T of the kind: S^-1 T S is zero
-    at every `_forbidden` entry (r, c).  Each entry is one int row on the
-    n^2 entries of T, row-major: a_i * v_j against T_ij, for row a of S^-1
-    and column v of S (`Nest.frame`, so the row is a nonzero multiple of the
-    entry's).  The entries are independent coordinates of T, so the rows
-    are as many as their rank."""
+    at every `_forbidden` entry (r, c), for S of `Nest.frame`.  Each kind
+    solves the smaller of its two systems, both of sum_(i<j) a_i a_j rows.
+    FULL: the kernel of one int row per forbidden entry (block[r] >
+    block[c]) on the n^2 entries of T, row-major: a_i * v_j against T_ij,
+    for row a of S^-1 and column v of S, a nonzero multiple of the entry's.
+    STRICT: one `echelon` of the generators S E_rc S^-1 at the other entries
+    (block[r] < block[c]): v_i * a_j for column v = r of S and row a = c of
+    S^-1, reduced mod p over GF(p).  The entries are independent coordinates
+    of T, so the rows of either system are as many as their rank."""
     f, n = nest.field, nest.ambient_dim
     columns, inv_rows, block = nest.frame
-    rows = [
-        [a * v for a in inv_rows[r] for v in columns[c]]
-        for r in range(n)
-        for c in range(n)
-        if _forbidden(kind, block[r], block[c])
-    ]
-    return _emit(nest, kind, integer_kernel(f, rows, n * n))
+    pairs = [(r, c) for r in range(n) for c in range(n)]
+    if kind == FULL:
+        rows = [[a * v for a in inv_rows[r] for v in columns[c]]
+                for r, c in pairs if _forbidden(kind, block[r], block[c])]
+        return _emit(nest, kind, integer_kernel(f, rows, n * n))
+    gens = [[v * a for v in columns[r] for a in inv_rows[c]]
+            for r, c in pairs if not _forbidden(kind, block[r], block[c])]
+    if f.p is not None:
+        gens = [[x % f.p for x in row] for row in gens]
+    return _emit(nest, kind, echelon(f, gens, n * n)[0])
 
 
 def _conjugates(nest: Nest, ints) -> list[tuple]:

@@ -199,9 +199,10 @@ def common_integer_rows(m: Matrix) -> tuple[list, int]:
     return [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)], den
 
 
-def _accumulate(a_rows, b_sparse, cols: int) -> list:
+def sparse_product(field: Field, a_rows, b_sparse, cols: int) -> list:
     """The product of an int matrix with one given by the (column, int)
-    pairs of each row's nonzero entries, over nonzero entries only."""
+    pairs of each row's nonzero entries, over nonzero entries only, reduced
+    mod p over GF(p)."""
     out = []
     for row in a_rows:
         acc = [0] * cols
@@ -210,7 +211,8 @@ def _accumulate(a_rows, b_sparse, cols: int) -> list:
                 for j, b in other_row:
                     acc[j] += a * b
         out.append(acc)
-    return out
+    p = field.p
+    return out if p is None else [tuple([x % p for x in row]) for row in out]
 
 
 def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
@@ -219,9 +221,8 @@ def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
     all of b scales all of it, so `integer_rows(A)` times
     `common_integer_rows(B)` is A @ B up to a nonzero multiple per row, with
     no Fraction built."""
-    out = _accumulate(a_rows, [[(j, b) for j, b in enumerate(row) if b] for row in b_rows], cols)
-    p = field.p
-    return out if p is None else [tuple([x % p for x in row]) for row in out]
+    b_sparse = [[(j, b) for j, b in enumerate(row) if b] for row in b_rows]
+    return sparse_product(field, a_rows, b_sparse, cols)
 
 
 def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
@@ -232,7 +233,7 @@ def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
     b_nonzero = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in b_rows]
     den_b = lcm(*[d for row in b_nonzero for _, (_, d) in row])
     b_sparse = [[(j, n * (den_b // d)) for j, (n, d) in row] for row in b_nonzero]
-    out = _accumulate(a_ints, b_sparse, cols)
+    out = sparse_product(QQ, a_ints, b_sparse, cols)
     return tuple([fraction_row(acc, den_a * den_b) for acc, den_a in zip(out, a_dens)])
 
 

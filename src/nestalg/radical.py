@@ -23,14 +23,21 @@ from .algebra import (
     alg_basis,
     in_alg,
 )
-from .matrices import Matrix, echelon, integer_kernel, integer_product
+from .matrices import Matrix, echelon, integer_kernel, integer_product, sparse_product
 from .nests import Nest, ordinal_sum
 from .subspaces import separating_functional
 
 
 def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
-    """Canonical basis of {T : T maps each member into its predecessor}."""
+    """Canonical basis of {T : T maps each member into its predecessor}, the
+    echelon of its generators S E_rc S^-1 (`_constraint_kernel`)."""
     return _constraint_kernel(nest, STRICT)
+
+
+def _entries(ints, n: int):
+    """(k, i, j, x) for each nonzero entry x = b_k[i][j] of the n x n
+    operators b_k whose row-major int rows are ints."""
+    return ((k, *divmod(q, n), x) for k, v in enumerate(ints) for q, x in enumerate(v) if x)
 
 
 def in_strict_ideal_witness(nest: Nest, t: Matrix):
@@ -68,16 +75,20 @@ def ideal_nilpotency_index(ideal: AlgebraBasis) -> int:
     or V_n != 0, proves J not nilpotent; an AssertionError names the basis.
     Each step's images are one integer product of V_(k-1)'s reduced int rows
     with the transposed stacked basis operators, as the basis' `scaled`
-    ints, read off n entries at a time: a scaled image spans what the image
-    does.  They are reduced by `echelon`, and no Fraction is built.
+    ints as (column, int) pairs built once, read off n entries at a time: a
+    scaled image spans what the image does.  They are reduced by `echelon`,
+    and no Fraction is built.
     """
     f, n = ideal.nest.field, ideal.nest.ambient_dim
     ints = ideal.scaled[0]
     width = len(ints) * n
-    transposes = list(zip(*[v[i : i + n] for v in ints for i in range(0, n * n, n)])) or [()] * n
+    # the transposed stacked basis, row j as the (k n + i, b_k[i][j]) pairs
+    transposes = [[] for _ in range(n)]
+    for k, i, j, x in _entries(ints, n):
+        transposes[j].append((k * n + i, x))
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        products = integer_product(f, rows, transposes, width)
+        products = sparse_product(f, rows, transposes, width)
         image, _ = echelon(f, [w[j : j + n] for w in products for j in range(0, width, n)], n)
         if not image:
             return k
@@ -125,16 +136,18 @@ def radical_basis_oracle(alg: AlgebraBasis) -> AlgebraBasis:
     f, n = alg.nest.field, alg.nest.ambient_dim
     # The basis as ints times one common scale c (`AlgebraBasis.scaled`), so
     # the Gram matrix is c^2 tr(a_i a_j), with the same kernel.
-    # trace(A B) = vec(A) . vec(B^T), and vec(B^T) is vec(B) read down its
-    # columns.
+    # trace(A B) = sum of A_ij B_ji: position (i, j) of a row is paired with
+    # the (l, entry (j, i) of basis operator l) of every nonzero such entry.
     stacked = alg.scaled[0]
-    vec_transposes = [[x for i in range(n) for x in v[i::n]] for v in stacked]
-    gram = integer_product(f, stacked, list(zip(*vec_transposes)), alg.dim)
-    # The kernel coordinates and the stacked algebra basis (as alg_basis
-    # emits it) are both in RREF, and the latter's pivot columns are unit
-    # columns, so their product is the canonical basis of the span up to a
-    # multiple per row, which `_emit` divides out.
+    by_transpose = [[] for _ in range(n * n)]
+    for k, i, j, x in _entries(stacked, n):
+        by_transpose[j * n + i].append((k, x))
+    gram = sparse_product(f, stacked, by_transpose, alg.dim)
+    # The kernel coordinates times the stacked basis span the radical; one
+    # `echelon` puts them in RREF, up to a multiple per row, which `_emit`
+    # divides out, whatever the order or form of alg's basis.
     rows = integer_product(f, integer_kernel(f, gram, alg.dim), stacked, n * n)
+    rows, _ = echelon(f, rows, n * n)
     return _emit(alg.nest, RADICAL, rows)
 
 

@@ -70,14 +70,14 @@ def random_nest(field: Field, n: int, rng: random.Random, members: int | None = 
 def random_span_element(basis: AlgebraBasis, rng: random.Random, nonzero: bool = False) -> Matrix:
     """A random combination of the basis with small coefficients, drawn in
     basis order and formed as one integer product of the coefficient row
-    with the basis' `scaled` ints, divided once by their scale."""
+    with the basis' `scaled` ints (not its operators), divided by the scale."""
     f, n = basis.nest.field, basis.nest.ambient_dim
     ints, scale = basis.scaled
     while True:
-        coeffs = [int(random_scalar(f, rng)) for _ in basis.basis]
+        coeffs = [int(random_scalar(f, rng)) for _ in ints]
         [row] = integer_product(f, [coeffs], ints, n * n)
         [t] = _operators(f, (fraction_row(row, scale) if f.is_rationals else row,), (n, n))
         if not nonzero or not t.is_zero():
             return t
-        if not basis.basis:
+        if not ints:
             raise ValueError("the zero space has no nonzero element")

@@ -34,7 +34,7 @@ from nestalg.matrices import (
     solve,
     try_invert,
 )
-from nestalg.nests import flag_nest, new_nest
+from nestalg.nests import flag_nest, new_nest, trivial_nest
 from nestalg.radical import (
     ideal_nilpotency_index,
     ordsum_analyze,
@@ -149,7 +149,11 @@ def test_fractional_nests_have_non_integral_inverse_frames():
 
 
 def test_constraint_kernels_match_fraction_reference():
-    _, nests = sample_nests(72)
+    # the trivial nest has no strict-ideal generators, the full flag the most;
+    # over GF(3) and GF(5) a generator's products of residues need reducing
+    rng, nests = sample_nests(72)
+    nests += [make(field, 4) for make in (trivial_nest, flag_nest) for field in (QQ, GF2, GF3)]
+    nests += [random_nest(field, 4, rng) for field in (GF3, GF(5)) for _ in range(8)]
     for nest in nests:
         for kind in (FULL, STRICT):
             got = Matrix._of(nest.field, tuple(t.vectorize() for t in _constraint_kernel(nest, kind).basis),
@@ -183,6 +187,24 @@ def test_radical_oracle_matches_fraction_reference():
         rad = radical_basis_oracle(alg)
         assert tuple(t.vectorize() for t in rad.basis) == oracle_reference(alg)
         assert rad.basis == strict_ideal_basis(nest).basis
+
+
+def test_report_and_draws_build_no_algebra_operators():
+    # the report and the draws read the algebra's ints only; its Fraction
+    # operators are built on the first read of `basis`, and are canonical
+    rng = random.Random(79)
+    nests = [fractional_nest(rng, n) for n in (3, 4, 5)] + [random_nest(GF3, n, rng) for n in (2, 3, 4)]
+    for nest in nests:
+        alg = alg_basis(nest)
+        rep = radical_report(nest, alg)
+        random_span_element(alg, rng)
+        random_span_element(alg, rng, nonzero=True)
+        assert rep.alg_dim == alg.dim and rep.equal
+        assert "basis" not in vars(alg)
+        n = nest.ambient_dim
+        got = Matrix._of(nest.field, tuple(t.vectorize() for t in alg.basis), n * n)
+        assert got == constraint_kernel_reference(nest, FULL)
+        assert "basis" in vars(alg)
 
 
 def test_integer_product_is_a_multiple_of_the_entrywise_sum():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nestalg import algebra, radical
-from nestalg.algebra import STRICT, AlgebraBasis, alg_basis, in_alg, matrix_span_basis, rank_one
+from nestalg.algebra import FULL, STRICT, AlgebraBasis, alg_basis, in_alg, matrix_span_basis, rank_one
 from nestalg.fields import GF, GF2, GF3, QQ
 from nestalg.matrices import Matrix, kernel_basis, try_invert
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, ordinal_sum, trivial_nest
@@ -308,8 +308,7 @@ def test_radical_report_finite_field_trace_form_is_ideal():
 
 
 def test_trace_form_radical_is_canonical():
-    # kernel coordinates (RREF) times the stacked algebra basis (RREF) is
-    # already the canonical basis of the span
+    # the oracle's radical is the canonical basis of its own span
     rng = random.Random(62)
     for field in (QQ, GF2, GF3):
         for _ in range(8):
@@ -317,6 +316,22 @@ def test_trace_form_radical_is_canonical():
             rad = radical_basis_oracle(alg)
             n = alg.nest.ambient_dim
             assert rad.basis == matrix_span_basis(rad.basis, field, (n, n))
+
+
+def test_trace_form_radical_ignores_the_algebra_basis_order():
+    # kernel coordinates times an algebra basis out of RREF (reversed, or
+    # b0 + b1, b1, ...) are no RREF; the radical is still the canonical
+    # strict ideal, and the report finds the two equal
+    rng = random.Random(63)
+    for field in (QQ, GF2):
+        for nest in (flag_nest(field, 3), coordinate_nest(field, (2, 1)), random_nest(field, 4, rng)):
+            strict = strict_ideal_basis(nest).basis
+            b = alg_basis(nest).basis
+            for basis in (tuple(reversed(b)), (b[0] + b[1],) + b[1:]):
+                hand = AlgebraBasis(nest, FULL, basis)
+                assert radical_basis_oracle(hand).basis == strict
+                rep = radical_report(nest, hand)
+                assert rep.equal and rep.radical_basis.basis == strict
 
 
 def test_radical_report_random_agreement():
