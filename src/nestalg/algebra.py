@@ -29,6 +29,7 @@ from .nests import Nest
 from .subspaces import (
     Functional,
     Subspace,
+    _from_int_rows,
     enumerate_subspaces,
     row_image_tables,
     separating_functional,
@@ -85,13 +86,12 @@ class AlgebraBasis:
         """The span in F^(n^2) of the basis, built on first use by one
         `echelon` of the `scaled` ints, so membership holds for any basis."""
         f, size = self.nest.field, self.nest.ambient_dim ** 2
-        rows, _ = echelon(f, self.scaled[0], size)
-        return Subspace(f, size, Matrix._of(f, canonical_rows(f, rows), size))
+        return _from_int_rows(f, size, *echelon(f, self.scaled[0], size))
 
     def contains(self, t: Matrix) -> bool:
-        """Is t in the span: is its residual against `span` zero?"""
+        """Is t in the span (`Subspace.contains`)?"""
         _check_operator(self.nest, t)
-        return is_zero_vector(self.span.reduce(t.vectorize()))
+        return self.span.contains(t.vectorize())
 
 
 def _emit(nest: Nest, kind: str, ints) -> AlgebraBasis:
@@ -197,19 +197,29 @@ def alg_basis(nest: Nest) -> AlgebraBasis:
     return _constraint_kernel(nest, FULL)
 
 
-def _violation(nest: Nest, t: Matrix, kind: str):
+def _conjugate(nest: Nest, t: Matrix) -> list[tuple]:
+    """`_conjugates` of the one operator t, checked against the nest."""
+    _check_operator(nest, t)
+    return _conjugates(nest, integer_rows(Matrix._of(nest.field, (t.vectorize(),), t.rows * t.cols)))
+
+
+def _violation(nest: Nest, t: Matrix, kind: str, conjugate=None):
     """None if t lies in the algebra (FULL) or the strict ideal (STRICT),
     else (member, basis vector of it that t moves out of bounds) for the
-    first member whose constraint t breaks (`_first_violation`): its first
-    basis row v with t v outside the member (FULL) or its predecessor."""
-    _check_operator(nest, t)
-    ints = integer_rows(Matrix._of(nest.field, (t.vectorize(),), t.rows * t.cols))
-    k = _first_violation(nest, kind, _conjugates(nest, ints))
-    if k is None:
-        return None
+    first member whose constraint t breaks (`_first_violation`, on t's
+    `_conjugate`, passed by a caller that holds it)."""
+    if conjugate is None:
+        conjugate = _conjugate(nest, t)
+    k = _first_violation(nest, kind, conjugate)
+    return None if k is None else (nest.chain[k + 1], _moved_vector(nest, t, kind, k))
+
+
+def _moved_vector(nest: Nest, t: Matrix, kind: str, k: int) -> Vector:
+    """The first basis row v of member k + 1 with t v outside that member
+    (FULL) or outside member k (STRICT)."""
     source = nest.chain[k + 1]
     target = source if kind == FULL else nest.chain[k]
-    return source, next(v for v in source.basis.entries if not target.contains(t.apply(v)))
+    return next(v for v in source.basis.entries if not target.contains(t.apply(v)))
 
 
 def in_alg_witness(nest: Nest, t: Matrix):
@@ -221,9 +231,10 @@ def in_alg(nest: Nest, t: Matrix) -> bool:
     return in_alg_witness(nest, t) is None
 
 
-def _require_member(nest: Nest, t: Matrix, kind: str = FULL) -> None:
-    """Raise MembershipError unless t lies in the algebra (or the strict ideal)."""
-    witness = _violation(nest, t, kind)
+def _require_member(nest: Nest, t: Matrix, kind: str = FULL, conjugate=None) -> None:
+    """Raise MembershipError unless t lies in the algebra (or the strict
+    ideal); `conjugate` as for `_violation`."""
+    witness = _violation(nest, t, kind, conjugate)
     if witness is not None:
         raise MembershipError(kind, *witness)
 

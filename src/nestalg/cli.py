@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import c00, verify
@@ -37,7 +38,6 @@ from .algebra import (
 from .matrices import Matrix, rref
 from .nests import IncomparableError, new_nest, ordinal_sum
 from .radical import (
-    in_strict_ideal,
     ordsum_analyze,
     radical_exclusion_witness,
     radical_report,
@@ -233,9 +233,12 @@ def cmd_radical(args, docs, inputs):
     while len(witnesses) < wanted and attempts < 100 * wanted:
         attempts += 1
         t = random_span_element(alg, rng, nonzero=True)
-        if in_strict_ideal(nest, t):
+        try:
+            x, phi = radical_exclusion_witness(nest, t)
+        except MembershipError:
+            raise
+        except ValueError:  # t strictly shifts the chain
             continue
-        x, phi = radical_exclusion_witness(nest, t)
         t_doc = matrix_to_json(t)
         singular = verify.check_exclusion_witness(ck, nest, t, x, phi, {"nest": ce, "t": t_doc})
         witnesses.append(
@@ -425,19 +428,64 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, output) -> None:
-    """Write the report to the opened --output file, else to stdout.  A
-    reader that closed stdout early does not change the exit code: stdout
-    is pointed at the null device so the interpreter's last flush is quiet."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write the report to the opened --output file, else to stdout, one
+    top-level key at a time, as `json.dumps(doc, indent=2)` and a newline
+    would (doc is a report, never empty).  A reader that closed stdout early
+    does not change the exit code: stdout is pointed at the null device so
+    the interpreter's last flush is quiet."""
     if output is not None:
         with output:
-            output.write(text)
+            _write_report(doc, output)
         return
     try:
-        sys.stdout.write(text)
+        _write_report(doc, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write_report(doc: dict, stream) -> None:
+    sep = "{\n  "
+    for key, value in doc.items():
+        stream.write(f"{sep}{encode_basestring_ascii(key)}: {_json(value, '  ')}")
+        sep = ",\n  "
+    stream.write("\n}\n")
+
+
+def _json(value, pad: str) -> str:
+    """The JSON text of value as `json.dumps(value, indent=2)` writes it at
+    the indent pad, ASCII only.  A list of strings or of ints, the rows of
+    a report's matrices, is joined in one call."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = sep.join(map(encode_basestring_ascii, value))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = f",\n{inner}".join(
+            [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _error_payload(exc: Exception) -> dict:

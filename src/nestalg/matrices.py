@@ -50,13 +50,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> Matrix:
-        z = field.zero()
-        return cls(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), cols=cols)
+        return cls._of(field, ((field.zero(),) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
         z, o = field.zero(), field.one()
-        return cls(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -399,18 +398,22 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 def solve(m: Matrix, b: Vector):
-    """One solution of m x = b with free variables set to zero, or None."""
-    f = m.field
+    """One solution of m x = b with free variables set to zero, or None:
+    `echelon` of the int rows of [m | b], where x at each pivot is the
+    last entry of its row over the pivot."""
+    f, n = m.field, m.cols
     if len(b) != m.rows:
         raise ValueError("rhs length mismatch")
     b = tuple(f.coerce(x) for x in b)
-    aug = Matrix._of(f, tuple(row + (bv,) for row, bv in zip(m.entries, b)), m.cols + 1)
-    red = rref(aug)
-    if m.cols in red.pivots:
+    aug = Matrix._of(f, tuple(row + (bv,) for row, bv in zip(m.entries, b)), n + 1)
+    rows, pivots = echelon(f, integer_rows(aug), n + 1)
+    if n in pivots:
         return None
-    x = [f.zero()] * m.cols
-    for i, pc in enumerate(red.pivots):
-        x[pc] = red.matrix.entries[i][m.cols]
+    x = [f.zero()] * n
+    for row, pc in zip(rows, pivots):
+        if row[n]:
+            # over GF(p) echelon leaves every pivot at 1 already
+            x[pc] = Fraction(row[n], row[pc]) if f.p is None else row[n]
     return tuple(x)
 
 
@@ -457,4 +460,4 @@ def is_zero_vector(v: Vector) -> bool:
 def outer(field: Field, x: Vector, phi: Vector) -> Matrix:
     """The operator v -> phi(v) x, as the matrix with entries x[i]*phi[j]."""
     mul = field.mul
-    return Matrix(field, tuple(tuple(mul(xi, pj) for pj in phi) for xi in x))
+    return Matrix._of(field, tuple(tuple(mul(xi, pj) for pj in phi) for xi in x), len(phi))

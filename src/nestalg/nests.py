@@ -41,8 +41,8 @@ class Nest:
         """A basis of F^n adapted to the chain, as (columns of S, rows of
         S^-1, block), the columns and rows as ints.  The columns of S are,
         member by member, the RREF basis rows of each nonzero member whose
-        pivot is not a pivot of its predecessor, each scaled to ints
-        (`integer_rows`); the rows of S^-1 are those of the inverse of that
+        pivot is not a pivot of its predecessor, as the member's
+        `int_rows`; the rows of S^-1 are those of the inverse of that
         scaled S, each times a nonzero int (`integer_inverse`).  Over GF(p)
         both are residues, unscaled.  block[c] is the atom of column c, so
         member k is spanned by the columns with block < k.  The scalings
@@ -51,11 +51,10 @@ class Nest:
         columns: list[Vector] = []
         block: list[int] = []
         for k, (pred, member) in enumerate(zip(self.chain, self.chain[1:])):
-            fresh = [v for v, pc in zip(member.basis.entries, member.pivots) if pc not in pred.pivots]
+            fresh = [v for v, pc in zip(member.int_rows, member.pivots) if pc not in pred.pivots]
             columns += fresh
             block += [k] * len(fresh)
         f, n = self.field, self.ambient_dim
-        columns = integer_rows(Matrix._of(f, tuple(columns), n))
         aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
         return columns, [row[n:] for row in integer_inverse(f, aug)], tuple(block)
 
@@ -70,7 +69,7 @@ class Nest:
         """Smallest member containing x; x must be nonzero."""
         x = self._check_vector(x)
         for member in self.chain:
-            if member.contains(x):
+            if member.contains_ints(x):
                 return member
         raise AssertionError("unreachable: the top member contains every vector")
 
@@ -78,7 +77,7 @@ class Nest:
         """Largest member not containing x, the predecessor of principal(x)."""
         x = self._check_vector(x)
         for pred, member in zip(self.chain, self.chain[1:]):
-            if member.contains(x):
+            if member.contains_ints(x):
                 return pred
         raise AssertionError("unreachable: the top member contains every vector")
 
@@ -87,13 +86,15 @@ class Nest:
         members = [s.annihilator() for s in reversed(self.chain)]
         return Nest(self.field, self.ambient_dim, tuple(members))
 
-    def _check_vector(self, x) -> Vector:
-        x = coerce_vector(self.field, x)
-        if len(x) != self.ambient_dim:
+    def _check_vector(self, x) -> list:
+        """The nonzero vector x of F^n as one int row (`integer_rows`)."""
+        f, n = self.field, self.ambient_dim
+        x = coerce_vector(f, x)
+        if len(x) != n:
             raise ValueError("vector length mismatch")
         if is_zero_vector(x):
             raise ValueError("the zero vector has no principal member")
-        return x
+        return integer_rows(Matrix._of(f, (x,), n))[0]
 
 
 def new_nest(field: Field, ambient_dim: int, members) -> Nest:

@@ -16,8 +16,11 @@ from .algebra import (
     STRICT,
     AlgebraBasis,
     _check_operator,
+    _conjugate,
     _constraint_kernel,
     _emit,
+    _first_violation,
+    _moved_vector,
     _require_member,
     _violation,
     alg_basis,
@@ -156,16 +159,21 @@ def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:
     R = x (x) phi lies in the algebra and (1 - R t) x = 0, exposing t as
     outside the radical.
 
-    x is the strict ideal's first violation (in_strict_ideal_witness).  As t
-    lies in the algebra, x lies outside the predecessor that t moves it out
-    of, so that predecessor is x's principal predecessor.
+    One `_conjugate` of t decides that t lies in the algebra (else a
+    MembershipError), that it is not strictly shifting (else a ValueError)
+    and the first member k + 1 that t moves out of member k.  x is the
+    basis vector of member k + 1 it moves (as in_strict_ideal_witness),
+    and phi separates t x from member k, x's principal predecessor: x lies
+    in member k + 1, and were it in member k, which t leaves invariant,
+    t x would be too.
     """
-    _require_member(nest, t)
-    violation = in_strict_ideal_witness(nest, t)
-    if violation is None:
+    conjugate = _conjugate(nest, t)
+    _require_member(nest, t, FULL, conjugate)
+    k = _first_violation(nest, STRICT, conjugate)
+    if k is None:
         raise ValueError("t strictly shifts the chain; no exclusion witness exists")
-    _, x = violation
-    return x, separating_functional(t.apply(x), nest.principal_pred(x))
+    x = _moved_vector(nest, t, STRICT, k)
+    return x, separating_functional(t.apply(x), nest.chain[k])
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .fields import Field, Scalar
-from .matrices import Matrix, Vector, coerce_vector, dot, is_zero_vector, kernel_basis, rref, solve
+from .matrices import (
+    Matrix,
+    Vector,
+    canonical_rows,
+    coerce_vector,
+    common_integer_rows,
+    dot,
+    echelon,
+    fraction_row,
+    integer_kernel,
+    integer_rows,
+    is_zero_vector,
+    solve,
+)
 
 
 @dataclass(frozen=True)
@@ -15,7 +29,8 @@ class Subspace:
     """A subspace of F^ambient_dim, stored by its canonical RREF basis.
 
     The basis matrix has no zero rows, so structurally equal subspaces
-    compare equal and dim == basis.rows.
+    compare equal and dim == basis.rows.  The lattice operations and the
+    membership tests run on `int_rows`, the same rows as ints.
     """
 
     field: Field
@@ -29,16 +44,57 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.field!r}^{self.ambient_dim})"
 
-    def contains(self, v) -> bool:
-        v = coerce_vector(self.field, v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        return is_zero_vector(self.reduce(v))
+    @cached_property
+    def int_rows(self):
+        """The basis rows as ints, computed on first use unless the subspace
+        was built from them (`_from_int_rows`): over QQ row i times the lcm
+        L_i of its denominators, a primitive row with leading entry L_i;
+        over GF(p) the residue rows of `basis` themselves."""
+        return integer_rows(self.basis)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each basis row, computed on first use."""
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis.entries)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.int_rows)
+
+    def contains(self, v) -> bool:
+        v = coerce_vector(self.field, v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return self.contains_ints(_int_row(self.field, v))
+
+    def contains_ints(self, v) -> bool:
+        """Does the subspace hold the vector with int row v: over QQ any
+        nonzero int multiple of it, over GF(p) its residues?"""
+        return not any(self._residual(v)[0])
+
+    def _residual(self, v) -> tuple[list, int]:
+        """(r, L): r = L v - sum of v[p_i] (L / L_i) R_i over the `int_rows`
+        R_i with pivot p_i and leading entry L_i, for L the lcm of the L_i.
+        r is L times the residual of v against the canonical rows, zero
+        exactly when v lies in the subspace.  Pivot columns are clear in
+        the other rows, so v[p_i] is r's entry at p_i, over L, until row i
+        is subtracted.  Over GF(p) every L_i is 1 and r is reduced mod p."""
+        rows, pivots = self.int_rows, self.pivots
+        scale = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
+        r = [scale * x for x in v] if scale != 1 else list(v)
+        for row, pc in zip(rows, pivots):
+            c = v[pc]
+            if c:
+                c *= scale // row[pc]
+                r = [a - c * b for a, b in zip(r, row)]
+        p = self.field.p
+        return (r if p is None else [x % p for x in r]), scale
+
+    def reduce(self, v: Vector) -> Vector:
+        """Residual of v after eliminating against the RREF basis rows: zero
+        exactly when v lies in the subspace (`_residual`, divided out)."""
+        f = self.field
+        if f.p is not None:
+            return tuple(self._residual(v)[0])
+        [ints], den = common_integer_rows(Matrix._of(f, (v,), self.ambient_dim))
+        r, scale = self._residual(ints)
+        return fraction_row(r, den * scale)
 
     @cached_property
     def elements(self) -> frozenset:
@@ -48,39 +104,23 @@ class Subspace:
         coeffs = tuple(itertools.product(self.field.elements(), repeat=self.dim))
         return frozenset((Matrix._of(self.field, coeffs, self.dim) @ self.basis).entries)
 
-    def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating against the RREF basis rows: zero
-        exactly when v lies in the subspace.
-
-        One loop on raw scalars for both fields; over GF(p) the residual is
-        reduced mod p once at the end, as raw multiples change nothing mod p.
-        """
-        p = self.field.p
-        v = list(v)
-        for row, pc in zip(self.basis.entries, self.pivots):
-            c = v[pc]
-            if c:
-                for j in range(pc, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return tuple(v) if p is None else tuple([x % p for x in v])
-
     def leq(self, other: Subspace) -> bool:
         self._check_peer(other)
         if self.dim > other.dim:
             return False
-        return all(other.contains(row) for row in self.basis.entries)
+        return all(other.contains_ints(row) for row in self.int_rows)
 
     def meet(self, other: Subspace) -> Subspace:
-        """Intersection, via the kernel of the stacked annihilator constraints."""
+        """Intersection: the kernel of the stacked annihilator rows."""
         self._check_peer(other)
-        constraints = self.annihilator().basis.entries + other.annihilator().basis.entries
-        sol = kernel_basis(Matrix._of(self.field, constraints, self.ambient_dim))
-        return Subspace(self.field, self.ambient_dim, sol)
+        f, n = self.field, self.ambient_dim
+        constraints = [*self._annihilator.int_rows, *other._annihilator.int_rows]
+        return _from_int_rows(f, n, integer_kernel(f, constraints, n))
 
     def join(self, other: Subspace) -> Subspace:
         self._check_peer(other)
-        return span_of(self.basis.entries + other.basis.entries, self.field, self.ambient_dim)
+        f, n = self.field, self.ambient_dim
+        return _from_int_rows(f, n, *echelon(f, [*self.int_rows, *other.int_rows], n))
 
     def annihilator(self) -> Subspace:
         """{phi in the dual : phi vanishes on this subspace}, computed on
@@ -90,11 +130,42 @@ class Subspace:
 
     @cached_property
     def _annihilator(self) -> Subspace:
-        return Subspace(self.field, self.ambient_dim, kernel_basis(self.basis))
+        f, n = self.field, self.ambient_dim
+        return _from_int_rows(f, n, integer_kernel(f, self.int_rows, n))
 
     def _check_peer(self, other: Subspace) -> None:
         if other.field != self.field or other.ambient_dim != self.ambient_dim:
             raise ValueError("subspaces live in different ambient spaces")
+
+
+def _int_row(field: Field, v: Vector):
+    """The field elements v as one int row (`integer_rows`)."""
+    return integer_rows(Matrix._of(field, (v,), len(v)))[0]
+
+
+def _from_int_rows(field: Field, ambient_dim: int, rows, pivots=None) -> Subspace:
+    """The subspace whose canonical rows are nonzero multiples of the int
+    rows, as `echelon` and `integer_kernel` give them (over GF(p) the
+    canonical residue rows themselves), with its `int_rows` set: over QQ
+    each row divided by the gcd of its entries, signed as its leading
+    entry, which leaves the canonical row times the lcm of its
+    denominators.  The Fraction basis is built from them once."""
+    if field.p is None:
+        rows = [_signed_primitive(row) for row in rows]
+    s = Subspace(field, ambient_dim, Matrix._of(field, canonical_rows(field, rows), ambient_dim))
+    s.__dict__["int_rows"] = rows
+    if pivots is not None:
+        s.__dict__["pivots"] = tuple(pivots)
+    return s
+
+
+def _signed_primitive(row) -> list:
+    """The nonzero int row divided by the gcd of its entries, times the
+    sign of its leading entry."""
+    g = gcd(*row)
+    if next(filter(None, row)) < 0:
+        g = -g
+    return [x // g for x in row] if g != 1 else row
 
 
 def span_of(vectors, field: Field, ambient_dim: int) -> Subspace:
@@ -103,9 +174,8 @@ def span_of(vectors, field: Field, ambient_dim: int) -> Subspace:
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("vector length mismatch")
-    red = rref(Matrix._of(field, rows, ambient_dim))
-    basis = Matrix._of(field, red.matrix.entries[: red.rank], ambient_dim)
-    return Subspace(field, ambient_dim, basis)
+    ints = integer_rows(Matrix._of(field, rows, ambient_dim))
+    return _from_int_rows(field, ambient_dim, *echelon(field, ints, ambient_dim))
 
 
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
@@ -150,8 +220,8 @@ class Functional:
         return is_zero_vector(self.coeffs)
 
     def kernel(self) -> Subspace:
-        sol = kernel_basis(Matrix(self.field, (self.coeffs,)))
-        return Subspace(self.field, self.ambient_dim, sol)
+        f, n = self.field, self.ambient_dim
+        return _from_int_rows(f, n, integer_kernel(f, [_int_row(f, self.coeffs)], n))
 
 
 def separating_functional(x, w: Subspace) -> Functional:
@@ -164,7 +234,7 @@ def separating_functional(x, w: Subspace) -> Functional:
     x = coerce_vector(f, x)
     if w.contains(x):
         raise ValueError("x lies in w, no separating functional exists")
-    system = Matrix(f, w.basis.entries + (x,))
+    system = Matrix._of(f, w.basis.entries + (x,), w.ambient_dim)
     rhs = tuple(f.zero() for _ in range(w.dim)) + (f.one(),)
     phi = solve(system, rhs)
     assert phi is not None  # consistent because x is independent of w

@@ -18,6 +18,7 @@ from . import c00
 from .algebra import (
     FULL,
     STRICT,
+    MembershipError,
     _conjugates,
     _first_violation,
     alg_basis,
@@ -32,10 +33,9 @@ from .algebra import (
     strict_approximant,
 )
 from .fields import GF2, QQ
-from .matrices import Matrix, echelon, rref, try_invert
+from .matrices import Matrix, common_integer_rows, echelon, integer_product, rref, try_invert
 from .nests import coordinate_nest, flag_nest, iter_compositions, iter_nests, ordinal_sum
 from .radical import (
-    in_strict_ideal,
     nilpotency_index,
     ordsum_analyze,
     quasi_inverse,
@@ -69,12 +69,14 @@ class _Check:
         self.attached: dict[str, dict] = {}
 
     def record(self, prop: str, ok: bool, witness=None):
+        """Count a case of prop.  The witness, or a function that builds it,
+        called only then, is kept for the first failure; later cases still
+        count."""
         entry = self.results.setdefault(prop, [0, True, None])
         entry[0] += 1
         if not ok and entry[1]:
             entry[1] = False
-            entry[2] = witness
-    # first failure wins; later cases still count
+            entry[2] = witness() if callable(witness) else witness
 
     def attach(self, prop: str, **extra):
         """Extra keys for a verdict, e.g. a certifying object on a pass."""
@@ -101,7 +103,10 @@ def lattice_suite(seed: int = 0, cases: int = 100, max_dim: int = 5) -> list[dic
         a = random_subspace(field, n, rng)
         b = random_subspace(field, n, rng)
         c = random_subspace(field, n, rng)
-        ce = {"ambient": n, "a": subspace_to_json(a), "b": subspace_to_json(b)}
+
+        def ce():
+            return {"ambient": n, "a": subspace_to_json(a), "b": subspace_to_json(b)}
+
         ck.record("meet-commutes", a.meet(b) == b.meet(a), ce)
         ck.record("join-commutes", a.join(b) == b.join(a), ce)
         ck.record("meet-associates", a.meet(b.meet(c)) == a.meet(b).meet(c), ce)
@@ -226,7 +231,10 @@ def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[d
         n = rng.randint(1, max_dim)
         nest = random_nest(field, n, rng)
         m = random_subspace(field, n, rng, dim=rng.randint(1, n))
-        ce = {"nest": nest_to_json(nest), "subspace": subspace_to_json(m)}
+
+        def ce():
+            return {"nest": nest_to_json(nest), "subspace": subspace_to_json(m)}
+
         p, parts = idempotent_onto(nest, m)
         check_idempotent(ck, nest, m, p, parts, ce)
     done = 0
@@ -238,7 +246,10 @@ def decompose_suite(seed: int = 0, cases: int = 100, max_dim: int = 6) -> list[d
         if t.is_zero():
             continue
         done += 1
-        ce = {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
+
+        def ce():
+            return {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
+
         check_rank_decomposition(ck, nest, t, rank_decompose(nest, t), ce)
         vectors = [random_vector(field, n, rng) for _ in range(rng.randint(0, n))]
         approx = strict_approximant(nest, t, vectors)
@@ -304,10 +315,13 @@ def radical_suite(seed: int = 0, cases: int = 50, max_dim: int = 8) -> list[dict
         n = rng.randint(2, 5)
         nest = random_nest(QQ, n, rng)
         t = random_span_element(alg_basis(nest), rng)
-        if in_strict_ideal(nest, t):
+        try:
+            x, phi = radical_exclusion_witness(nest, t)
+        except MembershipError:
+            raise
+        except ValueError:  # t strictly shifts the chain
             continue
         found += 1
-        x, phi = radical_exclusion_witness(nest, t)
         ce = {"nest": nest_to_json(nest), "t": matrix_to_json(t)}
         check_exclusion_witness(ck, nest, t, x, phi, ce)
     # quasi-inverses terminate and invert exactly
@@ -354,13 +368,26 @@ def check_radical_report(ck: _Check, rep, ce) -> None:
 
 def check_exclusion_witness(ck: _Check, nest, t, x, phi, ce) -> bool:
     """R = x (x) phi from `radical_exclusion_witness` lies in the algebra and
-    makes 1 - R t singular by killing x.  Returns whether 1 - R t is singular."""
-    r = rank_one(x, phi)
-    blocker = Matrix.identity(nest.field, nest.ambient_dim) - (r.matrix @ t)
-    singular = try_invert(blocker) is None
-    ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, r), ce)
+    makes 1 - R t singular by killing x.  Returns whether 1 - R t is singular.
+
+    1 - R t = 1 - x (x) psi for the row psi = phi t.  With x, phi and t as
+    ints (x = X / a, phi = F / b and t = T / c), F T is b c psi, so c' (1 -
+    R t) for c' = a b c has the int rows c' e_i - X_i (F T), and one n x n
+    `echelon` of them decides singularity."""
+    f, n = nest.field, nest.ambient_dim
+    [xs], a = common_integer_rows(Matrix._of(f, (x,), n))
+    [fs], b = common_integer_rows(Matrix._of(f, (phi.coeffs,), n))
+    ts, c = common_integer_rows(t)
+    [psi] = integer_product(f, [fs], ts, n)
+    scale = a * b * c
+    blocker = [[scale * (i == j) - xi * y for j, y in enumerate(psi)] for i, xi in enumerate(xs)]
+    if f.p is not None:
+        blocker = [[v % f.p for v in row] for row in blocker]
+    singular = len(echelon(f, blocker, n)[1]) < n
+    ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, rank_one(x, phi)), ce)
     ck.record("witness-blocks-invertibility", singular, ce)
-    ck.record("witness-kills-x", all(not v for v in blocker.apply(x)), ce)
+    image = integer_product(f, blocker, [[v] for v in xs], 1)
+    ck.record("witness-kills-x", not any(v for [v] in image), ce)
     return singular
 
 
@@ -384,7 +411,10 @@ def dual_suite(seed: int = 0, cases: int = 100) -> list[dict]:
         ann_meet, ann_join = ann_meet.meet(s.annihilator()), ann_join.join(s.annihilator())
         if len(fam) == 2:
             folds[fam] = meets, joins, ann_meet, ann_join
-        ce = {"family": [subspace_to_json(subs[i]) for i in fam]}
+
+        def ce():
+            return {"family": [subspace_to_json(subs[i]) for i in fam]}
+
         ck.record("annihilator-of-join", ann_meet == joins.annihilator(), ce)
         ck.record("annihilator-of-meet", ann_join == meets.annihilator(), ce)
     return ck.verdicts()

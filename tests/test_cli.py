@@ -471,6 +471,47 @@ def test_output_flag_writes_file(tmp_path):
     assert report["command"] == "check"
 
 
+def test_report_writer_matches_json_dumps(tmp_path, monkeypatch, capsys):
+    # every report kind, error reports among them, then documents with
+    # empty and nested containers, tuples and text that is not ASCII
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, output: docs.append(doc) or emit(doc, output))
+    spec = write(tmp_path, "nest.json", FLAG3)
+    gf2 = write(tmp_path, "gf2.json", {"field": {"p": 2}, "dim": 3, "chain": [[[1, 1, 0]]]})
+    upper = [["1", "2", "0"], ["0", "1/2", "0"], ["0", "0", "0"]]
+    rank = write(tmp_path, "rank.json", {"matrix": upper})
+    sub = write(tmp_path, "sub.json", {"subspace": [["1", "1", "0"]]})
+    approx = write(tmp_path, "approx.json", {"matrix": upper, "vectors": [["1", "0", "1"]]})
+    outside = write(tmp_path, "outside.json", {"matrix": [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]]})
+    pair = write(tmp_path, "pair.json", {"first": FLAG3, "second": FLAG3})
+    op = write(tmp_path, "op.json", {"matrix": [[str(int(i == j)) for j in range(6)] for i in range(6)]})
+    incomparable = write(tmp_path, "bad.json", {"field": "Q", "dim": 2, "chain": [[["1", "0"]], [["0", "1"]]]})
+    requests = [
+        ["check", "--input", spec], ["alg-basis", "--input", spec], ["dual", "--input", spec],
+        ["radical", "--input", spec, "--cases", "3"], ["radical", "--input", gf2, "--cases", "0"],
+        ["decompose", "--input", spec, "--matrix", rank],
+        ["decompose", "--input", spec, "--matrix", sub],
+        ["decompose", "--input", spec, "--matrix", approx],
+        ["reflexivity", "--input", gf2], ["reflexivity", "--input", spec, "--matrix", sub],
+        ["ordsum", "--input", pair], ["ordsum", "--input", pair, "--matrix", op],
+        ["c00"], ["verify", "dual", "--cases", "2"],
+        ["decompose", "--input", spec, "--matrix", outside], ["check", "--input", incomparable],
+        ["check", "--input", str(tmp_path / "missing.json")], ["c00", "--name", "nope"],
+    ]
+    for argv in requests:
+        cli.main(argv)
+        assert capsys.readouterr().out == json.dumps(docs[-1], indent=2) + "\n", argv
+    assert {d["error"]["type"] for d in docs if "error" in d} == {"membership", "incomparable", "input"}
+    for doc in (
+        {"command": "x", "a": [], "b": {}, "c": [[], {}, [[]], ()], "d": {"e": {}, "f": [{}]}},
+        {"s": "na\u00efve \u2014 \"q\"\n\t\\", "n": [None, True, False, 0, -12, 10**30, "1/2"]},
+        {"rows": ((1, 2), ["3", "-4/5"], [1, "1"], [True, 1], [[1], 2])},
+    ):
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_closed_stdout_keeps_the_report_exit_code():
     # the reader has closed the pipe before the report is written: no
     # traceback, and the exit code is the report's own

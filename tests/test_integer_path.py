@@ -1,24 +1,33 @@
 """The integer elimination path against Fraction references.
 
-Over Q the constraint kernels, the nilpotency index and the trace-form
-oracle run on int rows, each a nonzero multiple of the row it stands for,
-and build Fractions only for the canonical rows they return.  The
-references here are the same computations on Fraction matrices.
+Over Q the constraint kernels, the nilpotency index, the trace-form
+oracle, the subspace lattice and the exclusion witnesses run on int rows,
+each a nonzero multiple of the row it stands for, and build Fractions only
+for the canonical rows they return.  The references here are the same
+computations on Fraction matrices.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
+import pytest
+
+from nestalg import verify
 from nestalg.algebra import (
     FULL,
     STRICT,
     AlgebraBasis,
+    MembershipError,
     _constraint_kernel,
     _forbidden,
     alg_basis,
+    in_alg_witness,
     idempotent_onto,
     rank_decompose,
+    rank_one,
+    rank_one_in_alg,
     strict_approximant,
 )
 from nestalg.fields import GF, GF2, GF3, QQ
@@ -37,14 +46,16 @@ from nestalg.matrices import (
 from nestalg.nests import flag_nest, new_nest, trivial_nest
 from nestalg.radical import (
     ideal_nilpotency_index,
+    in_strict_ideal_witness,
     ordsum_analyze,
     quasi_inverse,
     radical_basis_oracle,
+    radical_exclusion_witness,
     radical_report,
     strict_ideal_basis,
 )
-from nestalg.sampling import random_nest, random_scalar, random_span_element
-from nestalg.subspaces import full, span_of
+from nestalg.sampling import random_matrix, random_nest, random_scalar, random_span_element
+from nestalg.subspaces import Functional, full, separating_functional, span_of
 
 
 def rand_fraction(rng):
@@ -339,3 +350,157 @@ def test_every_returned_q_matrix_holds_fractions():
     assert len(matrices) > 100
     for m in matrices:
         assert all(type(x) is Fraction for row in m.entries for x in row), m
+
+
+def fraction_rref(field, rows, n):
+    """The canonical RREF rows of the rows of field elements, by
+    Gauss-Jordan on field elements."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [field.sub(x, field.mul(row[c], y)) for x, y in zip(row, rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def fraction_kernel(field, rows, n):
+    """The canonical RREF rows of {v : m v = 0} for m with these rows: the
+    free-variable vectors of m's RREF, then their own RREF."""
+    red = fraction_rref(field, rows, n)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
+    vectors = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [field.zero()] * n
+        v[fc] = field.one()
+        for row, pc in zip(red, pivots):
+            v[pc] = field.neg(row[fc])
+        vectors.append(v)
+    return fraction_rref(field, vectors, n)
+
+
+def random_rows(field, n, rng):
+    """Up to n + 1 random rows, over Q with fractional entries, sometimes
+    with a dependent row."""
+    def entry():
+        return rand_fraction(rng) if field == QQ else rng.randrange(field.p)
+
+    rows = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, n))]
+    if rows and rng.random() < 0.3:
+        rows.append(tuple(field.add(x, field.mul(2, y)) for x, y in zip(rows[0], rows[-1])))
+    return rows
+
+
+def test_subspace_lattice_matches_fraction_reference():
+    rng = random.Random(80)
+    for field in (QQ, GF2, GF3):
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            va, vb = random_rows(field, n, rng), random_rows(field, n, rng)
+            a, b = span_of(va, field, n), span_of(vb, field, n)
+
+            def holds(s, v):
+                return len(fraction_rref(field, s.basis.entries + (tuple(v),), n)) == s.dim
+
+            assert a.basis.entries == fraction_rref(field, va, n)
+            assert a.join(b).basis.entries == fraction_rref(field, va + vb, n)
+            ann_a = fraction_kernel(field, a.basis.entries, n)
+            ann_b = fraction_kernel(field, b.basis.entries, n)
+            assert a.annihilator().basis.entries == ann_a
+            assert a.meet(b).basis.entries == fraction_kernel(field, ann_a + ann_b, n)
+            for s, t in ((a, b), (b, a), (a.meet(b), a), (b, a.join(b)), (a, a)):
+                assert s.leq(t) == all(holds(t, v) for v in s.basis.entries)
+            combo = tuple(field.add(x, y) for x, y in zip(*a.basis.entries[:2])) if a.dim > 1 else None
+            for v in [*vb, *random_rows(field, n, rng), *filter(None, [combo])]:
+                assert a.contains(v) == holds(a, v)
+            for s in (a, b, a.join(b), a.meet(b), a.annihilator()):
+                rows = s.basis.entries
+                if field == QQ:
+                    assert all(type(x) is Fraction for row in rows for x in row)
+                    dens = [lcm(*[x.denominator for x in row]) for row in rows]
+                    assert [list(r) for r in s.int_rows] == [
+                        [int(x * d) for x in row] for row, d in zip(rows, dens)
+                    ]
+                else:
+                    assert tuple(map(tuple, s.int_rows)) == rows
+
+
+def exclusion_witness_reference(nest, t):
+    """The construction on three conjugations: the algebra's membership,
+    the strict ideal's violation, and x's principal predecessor by a scan
+    of the members."""
+    outside = in_alg_witness(nest, t)
+    if outside is not None:
+        raise MembershipError(FULL, *outside)
+    violation = in_strict_ideal_witness(nest, t)
+    if violation is None:
+        raise ValueError("t strictly shifts the chain")
+    _, x = violation
+    return x, separating_functional(t.apply(x), nest.principal_pred(x))
+
+
+def test_exclusion_witness_matches_three_conjugation_reference():
+    rng, nests = sample_nests(81)
+    nests += [random_nest(field, rng.randint(2, 5), rng) for field in (GF(5), QQ) for _ in range(3)]
+    found = 0
+    for nest in nests:
+        f, n = nest.field, nest.ambient_dim
+        alg, strict = alg_basis(nest), strict_ideal_basis(nest)
+        for _ in range(4):
+            t = random_span_element(alg, rng, nonzero=True)
+            if in_strict_ideal_witness(nest, t) is None:
+                continue
+            x, phi = radical_exclusion_witness(nest, t)
+            want_x, want_phi = exclusion_witness_reference(nest, t)
+            assert (x, phi.coeffs) == (want_x, want_phi.coeffs)
+            found += 1
+        with pytest.raises(ValueError) as exc:
+            radical_exclusion_witness(nest, random_span_element(strict, rng))
+        assert not isinstance(exc.value, MembershipError)
+        if alg.dim == n * n:
+            continue
+        t = random_matrix(f, n, n, rng)
+        while in_alg_witness(nest, t) is None:
+            t = random_matrix(f, n, n, rng)
+        with pytest.raises(MembershipError) as exc:
+            radical_exclusion_witness(nest, t)
+        with pytest.raises(MembershipError) as want:
+            exclusion_witness_reference(nest, t)
+        assert (exc.value.member, exc.value.vector) == (want.value.member, want.value.vector)
+    assert found > 20
+
+
+def test_exclusion_check_matches_the_fraction_blocker():
+    # 1 - R t by Fraction products and an inverse, for witnesses and for
+    # random pairs (x, phi), whose 1 - R t is mostly invertible
+    rng, nests = sample_nests(82)
+    outcomes = set()
+    for nest in nests:
+        f, n = nest.field, nest.ambient_dim
+        alg = alg_basis(nest)
+        for _ in range(4):
+            t = random_span_element(alg, rng, nonzero=True)
+            x = tuple(random_scalar(f, rng) for _ in range(n))
+            phi = Functional(f, n, tuple(random_scalar(f, rng) for _ in range(n)))
+            pairs = [(x, phi)] if any(x) and not phi.is_zero() else []
+            if in_strict_ideal_witness(nest, t) is not None:
+                pairs.append(radical_exclusion_witness(nest, t))
+            for x, phi in pairs:
+                ck = verify._Check()
+                singular = verify.check_exclusion_witness(ck, nest, t, x, phi, None)
+                r = rank_one(x, phi)
+                blocker = Matrix.identity(f, n) - r.matrix @ t
+                verdicts = {v["property"]: v["pass"] for v in ck.verdicts()}
+                assert singular == verdicts["witness-blocks-invertibility"]
+                assert singular == (try_invert(blocker) is None)
+                assert verdicts["witness-kills-x"] == all(not v for v in blocker.apply(x))
+                assert verdicts["witness-rank-one-in-algebra"] == rank_one_in_alg(nest, r)
+                outcomes.add((singular, verdicts["witness-rank-one-in-algebra"]))
+    assert outcomes >= {(True, True), (False, False)}
