@@ -16,11 +16,10 @@ from .matrices import (
     canonical_rows,
     coerce_vector,
     common_integer_rows,
-    dot,
     echelon,
     integer_kernel,
     integer_product,
-    integer_rows,
+    integer_vector,
     is_zero_vector,
     outer,
     rref,
@@ -144,8 +143,8 @@ def _constraint_kernel(nest: Nest, kind: str) -> AlgebraBasis:
     for row a of S^-1 and column v of S, a nonzero multiple of the entry's.
     STRICT: one `echelon` of the generators S E_rc S^-1 at the other entries
     (block[r] < block[c]): v_i * a_j for column v = r of S and row a = c of
-    S^-1, reduced mod p over GF(p).  The entries are independent coordinates
-    of T, so the rows of either system are as many as their rank."""
+    S^-1.  The entries are independent coordinates of T, so the rows of
+    either system are as many as their rank."""
     f, n = nest.field, nest.ambient_dim
     columns, inv_rows, block = nest.frame
     pairs = [(r, c) for r in range(n) for c in range(n)]
@@ -155,8 +154,6 @@ def _constraint_kernel(nest: Nest, kind: str) -> AlgebraBasis:
         return _emit(nest, kind, integer_kernel(f, rows, n * n))
     gens = [[v * a for v in columns[r] for a in inv_rows[c]]
             for r, c in pairs if not _forbidden(kind, block[r], block[c])]
-    if f.p is not None:
-        gens = [[x % f.p for x in row] for row in gens]
     return _emit(nest, kind, echelon(f, gens, n * n)[0])
 
 
@@ -164,7 +161,7 @@ def _conjugates(nest: Nest, ints) -> list[tuple]:
     """The entries of S^-1 t S for each operator t, S of `Nest.frame`, up to
     a diagonal scaling D_r (S^-1 t S) D_c with nonzero D_r, D_c, as ints.
     Each row of ints is a vectorized t times a nonzero int: `scaled` of a
-    basis, or `integer_rows` of one operator.  Two integer products: the
+    basis, or `integer_vector` of one operator.  Two integer products: the
     ops stacked @ S, then S^-1 @ those side by side."""
     f, n = nest.field, nest.ambient_dim
     columns, inv_rows, _ = nest.frame
@@ -200,7 +197,7 @@ def alg_basis(nest: Nest) -> AlgebraBasis:
 def _conjugate(nest: Nest, t: Matrix) -> list[tuple]:
     """`_conjugates` of the one operator t, checked against the nest."""
     _check_operator(nest, t)
-    return _conjugates(nest, integer_rows(Matrix._of(nest.field, (t.vectorize(),), t.rows * t.cols)))
+    return _conjugates(nest, [integer_vector(nest.field, t.vectorize())[0]])
 
 
 def _violation(nest: Nest, t: Matrix, kind: str, conjugate=None):
@@ -276,12 +273,11 @@ def rank_one(x, phi: Functional) -> RankOneOp:
 
 
 def rank_one_in_alg(nest: Nest, r: RankOneOp) -> bool:
-    """Membership test for a rank-one operator: the predecessor of x's
-    principal member must sit inside ker phi."""
+    """Membership test for a rank-one operator: `in_alg` of its matrix,
+    which holds iff phi kills the predecessor of x's principal member."""
     if r.matrix.field != nest.field or r.phi.ambient_dim != nest.ambient_dim:
         raise ValueError("rank-one operator does not match the nest")
-    f, phi = nest.field, r.phi.coeffs
-    return all(not dot(f, phi, row) for row in nest.principal_pred(r.x).basis.entries)
+    return in_alg(nest, r.matrix)
 
 
 def transporter(nest: Nest, x, y) -> RankOneOp:

@@ -405,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "witnesses, at most 5)")
         p.add_argument("--max-dim", type=int, default=4, dest="max_dim",
                        help="dimension bound for exhaustive sweeps")
-        p.add_argument("--format", choices=["json"], default="json",
-                       help="report format (json only)")
         return p
 
     add("check", "validate a nest spec and print its shape")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -9,6 +10,11 @@ Scalar = Union[Fraction, int]
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+# The one grammar of a rational scalar string: an int or a ratio of ints.
+# Fraction() would also take decimals and exponents, and "1e9999999" costs
+# it time that grows with the exponent.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # Deterministic Miller-Rabin: these witnesses decide primality of every
 # n below MAX_MODULUS (Sorenson and Webster 2015).
@@ -73,7 +79,8 @@ class Field:
     # -- scalar construction ------------------------------------------------
 
     def coerce(self, value) -> Scalar:
-        """Normalize an int / Fraction / 'a/b' string into this field.
+        """Normalize an int / Fraction / 'a/b' string into this field; a
+        string over QQ must read [+-]?[0-9]+(/[0-9]+)?.
 
         Booleans are refused although bool is an int: a JSON true is not 1.
         """
@@ -92,7 +99,11 @@ class Field:
             if isinstance(value, int):
                 return Fraction(value)
             if isinstance(value, str):
-                return Fraction(value)
+                match = _RATIONAL.fullmatch(value)
+                if match is None:
+                    raise ValueError(f"{value!r} is not an int or a ratio n/d of ints")
+                num, den = match.groups()
+                return Fraction(int(num), int(den or 1))
             raise TypeError(f"cannot coerce {value!r} into QQ")
         if isinstance(value, Fraction):
             if value.denominator != 1:

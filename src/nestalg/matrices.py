@@ -98,9 +98,14 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
         cols = other.cols
-        if f.is_rationals:
-            return Matrix._of(f, _matmul_rational(self.entries, other.entries, cols), cols)
-        return Matrix._of(f, tuple(integer_product(f, self.entries, other.entries, cols)), cols)
+        if f.p is not None:
+            return Matrix._of(f, tuple(integer_product(f, self.entries, other.entries, cols)), cols)
+        # A scaled per row times B scaled as a whole, each row divided once
+        a_ints, a_dens = _scaled(self.entries)
+        b_ints, den_b = common_integer_rows(other)
+        out = integer_product(f, a_ints, b_ints, cols)
+        rows = tuple([fraction_row(row, d * den_b) for row, d in zip(out, a_dens)])
+        return Matrix._of(f, rows, cols)
 
     def scale(self, c) -> Matrix:
         c = self.field.coerce(c)
@@ -198,6 +203,16 @@ def common_integer_rows(m: Matrix) -> tuple[list, int]:
     return [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)], den
 
 
+def integer_vector(field: Field, v: Vector) -> tuple[list, int]:
+    """(ints, den): the vector v of field elements times one nonzero int den,
+    as ints, the one-row case of `common_integer_rows`.  Over QQ den is the
+    lcm of v's denominators; over GF(p) it is 1, the ints v's residues."""
+    if field.p is not None:
+        return v, 1
+    [ints], [den] = _scaled((v,))
+    return ints, den
+
+
 def sparse_product(field: Field, a_rows, b_sparse, cols: int) -> list:
     """The product of an int matrix with one given by the (column, int)
     pairs of each row's nonzero entries, over nonzero entries only, reduced
@@ -224,18 +239,6 @@ def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
     return sparse_product(field, a_rows, b_sparse, cols)
 
 
-def _matmul_rational(a_rows, b_rows, cols: int) -> tuple:
-    """Product of Fraction rows: the integer product of A scaled per row and
-    B scaled as a whole by the lcm of its denominators, each row divided
-    once at the end by its scale.  Only B's nonzero entries are converted."""
-    a_ints, a_dens = _scaled(a_rows)
-    b_nonzero = [[(j, x.as_integer_ratio()) for j, x in enumerate(row) if x] for row in b_rows]
-    den_b = lcm(*[d for row in b_nonzero for _, (_, d) in row])
-    b_sparse = [[(j, n * (den_b // d)) for j, (n, d) in row] for row in b_nonzero]
-    out = sparse_product(QQ, a_ints, b_sparse, cols)
-    return tuple([fraction_row(acc, den_a * den_b) for acc, den_a in zip(out, a_dens)])
-
-
 def fraction_row(row, den: int) -> tuple:
     """The int row divided by the nonzero int den, as Fractions, every zero
     the one shared zero of QQ."""
@@ -258,20 +261,22 @@ def echelon(field: Field, rows, ncols: int) -> tuple[list, list[int]]:
     result is a nonzero multiple of row i of the unique RREF, with leading
     entry rows[i][pivots[i]].
 
-    Over QQ the rows may be any nonzero int multiples of a matrix's rows:
-    each is divided by the gcd of its entries on entry, and rows are
-    combined fraction-free as p*x - a*y and divided by their gcd again.
-    Over GF(p) the rows are residues (`integer_kernel` reduces its rows
-    first): the pivot row is scaled by the pivot's inverse, so that its
-    leading entry is 1, and the other rows are combined as (x - a*y) % p.
-    Every step rescales a row by a nonzero scalar or adds a multiple of one
-    row to another, so the row space never changes.
+    The rows may be any nonzero int multiples of a matrix's rows.  Over QQ
+    each is divided by the gcd of its entries on entry, rows are combined
+    fraction-free as p*x - a*y and divided by their gcd again, and each
+    result row is signed so that its leading entry is positive: a
+    primitive row, the canonical row times the lcm of its denominators.
+    Over GF(p) the rows are reduced mod p on entry, so a row that is 0 mod
+    p is dropped; the pivot row is scaled by the pivot's inverse, so that
+    its leading entry is 1, and the other rows are combined as
+    (x - a*y) % p.  Every step rescales a row by a nonzero scalar or adds a
+    multiple of one row to another, so the row space never changes.
     """
     p = field.p
     if p is None:
         rows = [_primitive(row) for row in rows if any(row)]
     else:
-        rows = [list(row) for row in rows if any(row)]
+        rows = [row for row in ([x % p for x in row] for row in rows) if any(row)]
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -303,6 +308,8 @@ def echelon(field: Field, rows, ncols: int) -> tuple[list, list[int]]:
                     rows[i] = [(x - a * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
+    if p is None:
+        return [row if row[c] > 0 else [-x for x in row] for row, c in zip(rows, pivots)], pivots
     return rows[:r], pivots
 
 
@@ -315,19 +322,11 @@ def _primitive(row) -> list:
 def canonical_rows(field: Field, rows) -> tuple:
     """Nonzero int rows, each divided by its leading entry, as tuples of
     field elements: the one place where an elimination builds Fractions.
-    Over GF(p) the rows must be residues."""
-    p = field.p
-    out = []
-    for row in rows:
-        lead = next(filter(None, row))
-        if p is None:
-            out.append(fraction_row(row, lead))
-        elif lead == 1:
-            out.append(tuple(row))
-        else:
-            inv = pow(lead, -1, p)
-            out.append(tuple([x * inv % p for x in row]))
-    return tuple(out)
+    Over GF(p) the rows are those of `echelon` or `integer_kernel`, whose
+    leading entries are 1 already, and are kept as they are."""
+    if field.p is not None:
+        return tuple(map(tuple, rows))
+    return tuple([fraction_row(row, next(filter(None, row))) for row in rows])
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -338,8 +337,7 @@ def rref(m: Matrix) -> RrefResult:
     """
     f = m.field
     rows, pivots = echelon(f, integer_rows(m), m.cols)
-    # over GF(p) echelon leaves every pivot at 1 already
-    out = canonical_rows(f, rows) if f.p is None else tuple(map(tuple, rows))
+    out = canonical_rows(f, rows)
     if len(rows) < m.rows:
         out += ((f.zero(),) * m.cols,) * (m.rows - len(rows))
     return RrefResult(Matrix._of(f, out, m.cols), tuple(pivots), len(pivots))
@@ -347,8 +345,8 @@ def rref(m: Matrix) -> RrefResult:
 
 def integer_kernel(field: Field, rows, ncols: int) -> list:
     """A basis of {v : m v = 0} for the int matrix m with these rows, as int
-    rows: row i is a nonzero multiple of row i of `kernel_basis`, and over
-    GF(p) equal to it.  Over GF(p) the rows are reduced mod p first.
+    rows: row i is a positive multiple of row i of `kernel_basis`, and over
+    GF(p) equal to it.
 
     One `echelon`, of m with its columns reversed.  There the kernel vector
     of a free column f has a 1 at f, -R[i][f] / R[i][pc] at each pivot pc
@@ -359,11 +357,7 @@ def integer_kernel(field: Field, rows, ncols: int) -> list:
     the rows of the unique RREF of the kernel.
     """
     p = field.p
-    if p is None:
-        rows = [row[::-1] for row in rows]
-    else:
-        rows = [[x % p for x in reversed(row)] for row in rows]
-    red, pivots = echelon(field, rows, ncols)
+    red, pivots = echelon(field, [row[::-1] for row in rows], ncols)
     pivot_set = set(pivots)
     vectors = []
     for fc in reversed(range(ncols)):

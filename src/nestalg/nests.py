@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field
-from .matrices import Matrix, Vector, coerce_vector, integer_inverse, integer_rows, is_zero_vector
+from .matrices import Vector, coerce_vector, integer_inverse, integer_vector, is_zero_vector
 from .subspaces import Subspace, enumerate_subspaces, full, span_of, zero_subspace
 
 
@@ -87,14 +87,14 @@ class Nest:
         return Nest(self.field, self.ambient_dim, tuple(members))
 
     def _check_vector(self, x) -> list:
-        """The nonzero vector x of F^n as one int row (`integer_rows`)."""
+        """The nonzero vector x of F^n as one int row (`integer_vector`)."""
         f, n = self.field, self.ambient_dim
         x = coerce_vector(f, x)
         if len(x) != n:
             raise ValueError("vector length mismatch")
         if is_zero_vector(x):
             raise ValueError("the zero vector has no principal member")
-        return integer_rows(Matrix._of(f, (x,), n))[0]
+        return integer_vector(f, x)[0]
 
 
 def new_nest(field: Field, ambient_dim: int, members) -> Nest:

@@ -5,20 +5,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .fields import Field, Scalar
 from .matrices import (
     Matrix,
     Vector,
+    _primitive,
     canonical_rows,
     coerce_vector,
-    common_integer_rows,
     dot,
     echelon,
     fraction_row,
     integer_kernel,
     integer_rows,
+    integer_vector,
     is_zero_vector,
     solve,
 )
@@ -61,7 +62,7 @@ class Subspace:
         v = coerce_vector(self.field, v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        return self.contains_ints(_int_row(self.field, v))
+        return self.contains_ints(integer_vector(self.field, v)[0])
 
     def contains_ints(self, v) -> bool:
         """Does the subspace hold the vector with int row v: over QQ any
@@ -92,7 +93,7 @@ class Subspace:
         f = self.field
         if f.p is not None:
             return tuple(self._residual(v)[0])
-        [ints], den = common_integer_rows(Matrix._of(f, (v,), self.ambient_dim))
+        ints, den = integer_vector(f, v)
         r, scale = self._residual(ints)
         return fraction_row(r, den * scale)
 
@@ -138,34 +139,20 @@ class Subspace:
             raise ValueError("subspaces live in different ambient spaces")
 
 
-def _int_row(field: Field, v: Vector):
-    """The field elements v as one int row (`integer_rows`)."""
-    return integer_rows(Matrix._of(field, (v,), len(v)))[0]
-
-
 def _from_int_rows(field: Field, ambient_dim: int, rows, pivots=None) -> Subspace:
-    """The subspace whose canonical rows are nonzero multiples of the int
+    """The subspace whose canonical rows are positive multiples of the int
     rows, as `echelon` and `integer_kernel` give them (over GF(p) the
     canonical residue rows themselves), with its `int_rows` set: over QQ
-    each row divided by the gcd of its entries, signed as its leading
-    entry, which leaves the canonical row times the lcm of its
-    denominators.  The Fraction basis is built from them once."""
+    each row divided by the gcd of its entries, which leaves the canonical
+    row times the lcm of its denominators.  The Fraction basis is built
+    from them once."""
     if field.p is None:
-        rows = [_signed_primitive(row) for row in rows]
+        rows = [_primitive(row) for row in rows]
     s = Subspace(field, ambient_dim, Matrix._of(field, canonical_rows(field, rows), ambient_dim))
     s.__dict__["int_rows"] = rows
     if pivots is not None:
         s.__dict__["pivots"] = tuple(pivots)
     return s
-
-
-def _signed_primitive(row) -> list:
-    """The nonzero int row divided by the gcd of its entries, times the
-    sign of its leading entry."""
-    g = gcd(*row)
-    if next(filter(None, row)) < 0:
-        g = -g
-    return [x // g for x in row] if g != 1 else row
 
 
 def span_of(vectors, field: Field, ambient_dim: int) -> Subspace:
@@ -221,7 +208,7 @@ class Functional:
 
     def kernel(self) -> Subspace:
         f, n = self.field, self.ambient_dim
-        return _from_int_rows(f, n, integer_kernel(f, [_int_row(f, self.coeffs)], n))
+        return _from_int_rows(f, n, integer_kernel(f, [integer_vector(f, self.coeffs)[0]], n))
 
 
 def separating_functional(x, w: Subspace) -> Functional:

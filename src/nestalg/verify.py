@@ -33,7 +33,7 @@ from .algebra import (
     strict_approximant,
 )
 from .fields import GF2, QQ
-from .matrices import Matrix, common_integer_rows, echelon, integer_product, rref, try_invert
+from .matrices import Matrix, common_integer_rows, echelon, integer_product, integer_vector, rref, try_invert
 from .nests import coordinate_nest, flag_nest, iter_compositions, iter_nests, ordinal_sum
 from .radical import (
     nilpotency_index,
@@ -172,52 +172,44 @@ def _strict_dim(atoms) -> int:
 def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     """The bases of the algebra and of its strictly-shifting ideal
     (`alg_basis`, `strict_ideal_basis`), decided in the chain-adapted frame
-    S of `Nest.frame`: both membership verdicts come from the one batched
-    conjugation `_conjugates` and the forbidden entries of
-    `_first_violation`, which also decide `in_alg` and `in_strict_ideal`.
-    Conjugation is an algebra automorphism, so the span of alg.basis is
-    closed under products iff the span of its conjugates is: a span of
-    matrix units closed under E_rc E_cd = E_rd, which every correct basis
-    gives, passes on its unit pattern (`_span_closed`); any other span runs
-    the scan `_closure_escape`, which decides closure and names the first
-    pair (i, j) with alg.basis[i] @ alg.basis[j] outside the span."""
+    S of `Nest.frame`.  Each dimension verdict needs as many independent
+    rows (`_independent`) as the formula gives.  Both membership verdicts
+    come from the one batched conjugation `_conjugates` and the forbidden
+    entries of `_first_violation`, which also decide `in_alg` and
+    `in_strict_ideal`.  Closure follows from two of these facts, with no
+    product: when `algebra-dimension` and `basis-members-in-algebra` hold,
+    alg.basis is a basis of the algebra, which is closed (in the frame it
+    is the span of the matrix units E_rc with block[r] <= block[c], and
+    E_rc E_cd = E_rd).  Only when one of them fails does the scan
+    `_closure_escape` decide closure and name the escaping pair."""
     atoms = nest.atoms
-    ck.record("algebra-dimension", alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms), ce)
-    ck.record("strict-ideal-dimension", strict.dim == _strict_dim(atoms), ce)
+    alg_dim_ok = alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms) and _independent(alg)
+    ck.record("algebra-dimension", alg_dim_ok, ce)
+    strict_dim_ok = strict.dim == _strict_dim(atoms) and _independent(strict)
+    ck.record("strict-ideal-dimension", strict_dim_ok, ce)
     conjugates = _conjugates(nest, [*alg.scaled[0], *strict.scaled[0]])
     alg_conj, strict_conj = conjugates[: alg.dim], conjugates[alg.dim :]
-    ck.record("basis-members-in-algebra", _first_violation(nest, FULL, alg_conj) is None, ce)
+    members_ok = _first_violation(nest, FULL, alg_conj) is None
+    ck.record("basis-members-in-algebra", members_ok, ce)
     ck.record("strict-members-shift", _first_violation(nest, STRICT, strict_conj) is None, ce)
-    escape = None if _span_closed(nest.field, nest.ambient_dim, alg_conj) else _closure_escape(alg)
+    escape = None if alg_dim_ok and members_ok else _closure_escape(alg)
     ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
 
 
-def _span_closed(field, n, ops) -> bool:
-    """Is the span of the n x n operators ops (entry tuples, here the
-    conjugates S^-1 t S of `_conjugates`, up to their diagonal scaling,
-    which keeps the pattern read here) a span of matrix units closed under
-    products?  One `echelon` of the vectorized ops: if every reduced row
-    has one nonzero entry, the span is that of the units E_rc at the
-    pivots, and as E_rc E_cd = E_rd it is closed iff cols[c] <= cols[r] for
-    every unit E_rc, where cols[r] holds the columns of the units in row r.
-    False for any other span, whose closure is left to `_closure_escape`."""
-    rows, _ = echelon(field, [list(itertools.chain(*t)) for t in ops], n * n)
-    cols: dict[int, set[int]] = {}
-    for row in rows:
-        support = [k for k, x in enumerate(row) if x]
-        if len(support) != 1:
-            return False
-        r, c = divmod(support[0], n)
-        cols.setdefault(r, set()).add(c)
-    return all(cols.get(c, set()) <= cs for cs in cols.values() for c in cs)
+def _independent(basis) -> bool:
+    """Are the rows of basis.scaled independent?  Distinct leading positions
+    prove it with no arithmetic, as for every basis the library emits;
+    otherwise the rank of `AlgebraBasis.span`, one `echelon`, decides."""
+    rows = basis.scaled[0]
+    leads = {next((j for j, x in enumerate(row) if x), None) for row in rows}
+    return (None not in leads and len(leads) == len(rows)) or basis.span.dim == len(rows)
 
 
 def _closure_escape(alg) -> list[int] | None:
     """The first pair [i, j], in row-major order, with alg.basis[i] @
     alg.basis[j] outside the span of alg.basis, or None when the span is
-    closed.  A plain scan of the d^2 products: it runs only on spans that
-    are not a closed span of matrix units (`_span_closed`), which no
-    correct basis gives."""
+    closed.  A plain scan of the d^2 products: it runs only when
+    `check_alg_basis` cannot prove closure, which no correct basis gives."""
     pairs = itertools.product(enumerate(alg.basis), repeat=2)
     return next(([i, j] for (i, a), (j, b) in pairs if not alg.contains(a @ b)), None)
 
@@ -375,14 +367,12 @@ def check_exclusion_witness(ck: _Check, nest, t, x, phi, ce) -> bool:
     R t) for c' = a b c has the int rows c' e_i - X_i (F T), and one n x n
     `echelon` of them decides singularity."""
     f, n = nest.field, nest.ambient_dim
-    [xs], a = common_integer_rows(Matrix._of(f, (x,), n))
-    [fs], b = common_integer_rows(Matrix._of(f, (phi.coeffs,), n))
+    xs, a = integer_vector(f, x)
+    fs, b = integer_vector(f, phi.coeffs)
     ts, c = common_integer_rows(t)
     [psi] = integer_product(f, [fs], ts, n)
     scale = a * b * c
     blocker = [[scale * (i == j) - xi * y for j, y in enumerate(psi)] for i, xi in enumerate(xs)]
-    if f.p is not None:
-        blocker = [[v % f.p for v in row] for row in blocker]
     singular = len(echelon(f, blocker, n)[1]) < n
     ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, rank_one(x, phi)), ce)
     ck.record("witness-blocks-invertibility", singular, ce)

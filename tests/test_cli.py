@@ -9,12 +9,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nestalg import cli, radical, verify
+from nestalg import algebra, cli, matrices, radical, subspaces, verify
 from nestalg.algebra import (
     FULL,
     STRICT,
@@ -24,7 +25,7 @@ from nestalg.algebra import (
     in_alg,
     rank_decompose,
 )
-from nestalg.fields import GF2, QQ
+from nestalg.fields import GF2, GF3, QQ
 from nestalg.matrices import Matrix
 from nestalg.nests import flag_nest, ordinal_sum
 from nestalg.radical import in_strict_ideal, ordsum_analyze, strict_ideal_basis
@@ -274,6 +275,30 @@ def test_check_rejects_boolean_scalar(tmp_path, scalar):
     proc = run_cli("check", "--input", write(tmp_path, "nest.json", doc))
     assert proc.returncode == 2
     assert load_report(proc)["error"]["path"] == "input.chain[0][0][0]"
+
+
+def test_check_rejects_exponent_scalar_fast(tmp_path):
+    # Fraction("1e9999999") alone takes seconds; the grammar n or n/d refuses it at once
+    doc = dict(FLAG3, chain=[[["1e9999999", "0", "0"]]])
+    proc = run_cli("check", "--input", write(tmp_path, "nest.json", doc), timeout=2)
+    assert proc.returncode == 2
+    assert load_report(proc)["error"]["path"] == "input.chain[0][0][0]"
+    # a decimal is outside the grammar too
+    decimal = dict(FLAG3, chain=[[["1.5", "0", "0"]]])
+    code, report = run_main("check", "--input", write(tmp_path, "dec.json", decimal))
+    assert code == 2 and report["error"]["path"] == "input.chain[0][0][0]"
+    doc = dict(FLAG3, chain=[[["3/4", "-5/7", "+2"]]])
+    code, report = run_main("check", "--input", write(tmp_path, "signed.json", doc))
+    assert code == 0
+    nest, _ = nest_from_json(doc)
+    assert nest.chain[1].contains([Fraction(3, 4), Fraction(-5, 7), 2])
+
+
+def test_format_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_check_large_prime_modulus(tmp_path):
@@ -714,6 +739,51 @@ def test_basis_not_in_rref_spans_the_algebra():
     ck = verify._Check()
     verify.check_alg_basis(ck, nest, basis, strict_ideal_basis(nest), None)
     assert all(v["pass"] for v in ck.verdicts())
+
+
+def test_dependent_basis_of_the_right_size_fails_the_dimension_verdict():
+    # three operators spanning two of the three dimensions of the algebra of
+    # a flag of F^2: a repeated operator, a zero operator, and a pair that is
+    # not closed ((E11 + E12) E22 = E12)
+    for field in (QQ, GF2):
+        nest = flag_nest(field, 2)
+        e11, e12, e22 = (Matrix(field, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]))
+        zero = Matrix.zeros(field, 2, 2)
+        strict = strict_ideal_basis(nest)
+        for ops, closure in (((e11, e12, e11), None), ((e11, e12, zero), None),
+                             ((e11 + e12, e22, e22), [0, 1])):
+            alg = AlgebraBasis(nest, FULL, ops)
+            ck = verify._Check()
+            verify.check_alg_basis(ck, nest, alg, strict, None)
+            passes = {v["property"]: v for v in ck.verdicts()}
+            assert not passes["algebra-dimension"]["pass"]
+            assert passes["basis-members-in-algebra"]["pass"]
+            assert passes["closed-under-product"]["pass"] == (closure is None)
+            assert passes["closed-under-product"].get("witness", {}).get("product") == closure
+            assert first_escape_reference(alg) == closure
+        # the zero operator alone has the size of the strict ideal, span{E12}
+        ck = verify._Check()
+        verify.check_alg_basis(ck, nest, alg_basis(nest), AlgebraBasis(nest, STRICT, (zero,)), None)
+        passes = {v["property"]: v["pass"] for v in ck.verdicts()}
+        assert not passes["strict-ideal-dimension"] and passes["closed-under-product"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=repr)
+def test_alg_basis_verdicts_run_no_elimination(monkeypatch, field):
+    # the library's bases pass on their dimension and membership facts alone
+    calls = []
+    for module in (matrices, subspaces, algebra, radical, verify):
+        if hasattr(module, "echelon"):
+            real = getattr(module, "echelon")
+            monkeypatch.setattr(module, "echelon", lambda *a, real=real: calls.append(a) or real(*a))
+    rng = random.Random(4)
+    for nest in (flag_nest(field, 3), random_nest(field, 4, rng), random_nest(field, 3, rng, members=1)):
+        alg, strict = alg_basis(nest), strict_ideal_basis(nest)
+        calls.clear()
+        ck = verify._Check()
+        verify.check_alg_basis(ck, nest, alg, strict, None)
+        assert all(v["pass"] for v in ck.verdicts())
+        assert calls == []
 
 
 def membership_verdicts(nest, alg, strict):

@@ -260,6 +260,24 @@ def test_echelon_and_integer_kernel_are_multiples_of_the_canonical_rows():
         assert all(multiple_of(k, c) for k, c in zip(kernel, kernel_basis(m).entries))
 
 
+def test_echelon_reduces_rows_mod_p_and_signs_rows_over_q():
+    rng = random.Random(77)
+    for p in (3, 5):
+        field = GF(p)
+        for _ in range(40):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+            ints = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+            ints.append([p * rng.randint(-4, 4) for _ in range(cols)])  # 0 mod p
+            residues = [[x % p for x in row] for row in ints]
+            assert echelon(field, ints, cols) == echelon(field, residues, cols)
+            assert len(echelon(field, ints, cols)[0]) == rref(Matrix(field, residues, cols=cols)).rank
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+        ints = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        red, pivots = echelon(QQ, ints, cols)
+        assert all(row[pc] > 0 for row, pc in zip(red, pivots))
+
+
 def assert_carries_scaled_rows(basis):
     """basis.scaled is (ints, scale): ints equal to scale times the rows of
     basis.vectorized exactly, with scale 1 over GF(p)."""
