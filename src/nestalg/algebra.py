@@ -13,16 +13,16 @@ from .fields import Field
 from .matrices import (
     Matrix,
     Vector,
-    canonical_rows,
     coerce_vector,
     common_integer_rows,
+    dots,
     echelon,
     integer_kernel,
     integer_product,
-    integer_vector,
+    integer_vectorize,
     is_zero_vector,
+    leads,
     outer,
-    rref,
 )
 from .nests import Nest
 from .subspaces import (
@@ -45,7 +45,7 @@ class AlgebraBasis:
     """A canonical basis of a space of operators attached to a nest.
 
     A basis the library builds (`_emit`) holds only its `scaled` ints; its
-    Fraction `basis` is built from them the first time it is read."""
+    operators, `basis`, are built from them the first time it is read."""
 
     nest: Nest
     kind: str
@@ -53,12 +53,12 @@ class AlgebraBasis:
 
     def __getattr__(self, name):
         # Reached only for an attribute the instance lacks: the `basis` of an
-        # emitted basis, each `scaled` row divided by its leading entry (over
-        # GF(p) the canonical residue rows as they are).
+        # emitted basis, the `scaled` rows over the scale.
         if name != "basis" or "scaled" not in self.__dict__:
             raise AttributeError(name)
-        f, n = self.nest.field, self.nest.ambient_dim
-        basis = self.__dict__["basis"] = _operators(f, canonical_rows(f, self.scaled[0]), (n, n))
+        ints, scale = self.scaled
+        n = self.nest.ambient_dim
+        basis = self.__dict__["basis"] = _operators(self.nest.field, ints, [scale] * len(ints), (n, n))
         return basis
 
     @property
@@ -68,10 +68,10 @@ class AlgebraBasis:
 
     @cached_property
     def vectorized(self) -> Matrix:
-        """The vectorized basis operators as the rows of one matrix, in basis
-        order, built on first use."""
-        f, size = self.nest.field, self.nest.ambient_dim ** 2
-        return Matrix._of(f, tuple(b.vectorize() for b in self.basis), size)
+        """The vectorized basis operators (`integer_vectorize`) as the rows
+        of one matrix, in basis order, built on first use."""
+        rows, dens = zip(*map(integer_vectorize, self.basis)) if self.basis else ((), ())
+        return Matrix._ints(self.nest.field, rows, dens, self.nest.ambient_dim ** 2)
 
     @cached_property
     def scaled(self) -> tuple[list, int]:
@@ -88,9 +88,10 @@ class AlgebraBasis:
         return _from_int_rows(f, size, *echelon(f, self.scaled[0], size))
 
     def contains(self, t: Matrix) -> bool:
-        """Is t in the span (`Subspace.contains`)?"""
+        """Is t in the span (`Subspace.contains_ints` of its
+        `integer_vectorize`)?"""
         _check_operator(self.nest, t)
-        return self.span.contains(t.vectorize())
+        return self.span.contains_ints(integer_vectorize(t)[0])
 
 
 def _emit(nest: Nest, kind: str, ints) -> AlgebraBasis:
@@ -102,9 +103,9 @@ def _emit(nest: Nest, kind: str, ints) -> AlgebraBasis:
     that `basis` stays unset until it is read."""
     rows, scale = ints, 1
     if nest.field.p is None:
-        leads = [next(filter(None, row)) for row in ints]
-        scale = lcm(*leads)
-        rows = [r if a == scale else [x * (scale // a) for x in r] for r, a in zip(ints, leads)]
+        lead = leads(ints)
+        scale = lcm(*lead)
+        rows = [r if a == scale else [x * (scale // a) for x in r] for r, a in zip(ints, lead)]
     basis = object.__new__(AlgebraBasis)
     basis.__dict__.update(nest=nest, kind=kind, scaled=(rows, scale))
     return basis
@@ -161,7 +162,7 @@ def _conjugates(nest: Nest, ints) -> list[tuple]:
     """The entries of S^-1 t S for each operator t, S of `Nest.frame`, up to
     a diagonal scaling D_r (S^-1 t S) D_c with nonzero D_r, D_c, as ints.
     Each row of ints is a vectorized t times a nonzero int: `scaled` of a
-    basis, or `integer_vector` of one operator.  Two integer products: the
+    basis, or `integer_vectorize` of one operator.  Two integer products: the
     ops stacked @ S, then S^-1 @ those side by side."""
     f, n = nest.field, nest.ambient_dim
     columns, inv_rows, _ = nest.frame
@@ -182,11 +183,15 @@ def _first_violation(nest: Nest, kind: str, conjugates) -> int | None:
     return min((block[c] for r, c in nonzero if _forbidden(kind, block[r], block[c])), default=None)
 
 
-def _operators(field: Field, rows, shape: tuple[int, int]) -> tuple[Matrix, ...]:
-    """The operators of the given shape with these row-major entries, the
-    inverse of Matrix.vectorize."""
+def _operators(field: Field, rows, dens, shape: tuple[int, int]) -> tuple[Matrix, ...]:
+    """The operators of the given shape whose row-major entries are the int
+    rows over the positive dens (over GF(p) residues), the inverse of
+    `integer_vectorize`."""
     r, c = shape
-    return tuple(Matrix._of(field, tuple(v[i * c : i * c + c] for i in range(r)), c) for v in rows)
+    return tuple(
+        Matrix._ints(field, [v[i * c : i * c + c] for i in range(r)], [den] * r, c)
+        for v, den in zip(rows, dens)
+    )
 
 
 def alg_basis(nest: Nest) -> AlgebraBasis:
@@ -197,7 +202,7 @@ def alg_basis(nest: Nest) -> AlgebraBasis:
 def _conjugate(nest: Nest, t: Matrix) -> list[tuple]:
     """`_conjugates` of the one operator t, checked against the nest."""
     _check_operator(nest, t)
-    return _conjugates(nest, [integer_vector(nest.field, t.vectorize())[0]])
+    return _conjugates(nest, [integer_vectorize(t)[0]])
 
 
 def _violation(nest: Nest, t: Matrix, kind: str, conjugate=None):
@@ -213,10 +218,13 @@ def _violation(nest: Nest, t: Matrix, kind: str, conjugate=None):
 
 def _moved_vector(nest: Nest, t: Matrix, kind: str, k: int) -> Vector:
     """The first basis row v of member k + 1 with t v outside that member
-    (FULL) or outside member k (STRICT)."""
+    (FULL) or outside member k (STRICT), tested on the int image of its
+    `int_rows` under t over one scale."""
     source = nest.chain[k + 1]
     target = source if kind == FULL else nest.chain[k]
-    return next(v for v in source.basis.entries if not target.contains(t.apply(v)))
+    ts = common_integer_rows(t)[0]
+    i = next(i for i, v in enumerate(source.int_rows) if not target.contains_ints(dots(ts, v)))
+    return source.basis.entries[i]
 
 
 def in_alg_witness(nest: Nest, t: Matrix):
@@ -260,6 +268,19 @@ class RankOneOp:
     @property
     def is_idempotent(self) -> bool:
         return self.phi(self.x) == self.matrix.field.one()
+
+
+# The slot setters of RankOneOp, bound once, as for Matrix: the many
+# rank-ones of `all_rank_ones_in_alg` skip the frozen __init__.
+_set_x, _set_phi, _set_matrix = (RankOneOp.__dict__[a].__set__ for a in RankOneOp.__slots__)
+
+
+def _rank_one_op(x: Vector, phi: Functional, matrix: Matrix) -> RankOneOp:
+    r = object.__new__(RankOneOp)
+    _set_x(r, x)
+    _set_phi(r, phi)
+    _set_matrix(r, matrix)
+    return r
 
 
 def rank_one(x, phi: Functional) -> RankOneOp:
@@ -315,7 +336,7 @@ def idempotent_onto(nest: Nest, m: Subspace) -> tuple[Matrix, list[RankOneOp]]:
     p = Matrix.zeros(f, n, n)
     parts = []
     for k in reversed(range(m.dim)):
-        rest = Subspace(f, n, Matrix._of(f, rows[k + 1 :], n))
+        rest = _from_int_rows(f, n, m.int_rows[k + 1 :], m.pivots[k + 1 :])
         x = tuple(f.sub(a, b) for a, b in zip(rows[k], p.apply(rows[k])))
         part = rank_one(x, separating_functional(x, nest.principal_pred(x).join(rest)))
         p = p + part.matrix
@@ -324,8 +345,10 @@ def idempotent_onto(nest: Nest, m: Subspace) -> tuple[Matrix, list[RankOneOp]]:
 
 
 def range_of(t: Matrix) -> Subspace:
-    """Column space of t."""
-    return span_of([t.column(j) for j in range(t.cols)], t.field, t.rows)
+    """Column space of t: one `echelon` of the columns of t's rows over one
+    scale (`common_integer_rows`)."""
+    f = t.field
+    return _from_int_rows(f, t.rows, *echelon(f, list(zip(*common_integer_rows(t)[0])), t.rows))
 
 
 def rank_decompose(nest: Nest, t: Matrix) -> list[Matrix]:
@@ -397,11 +420,12 @@ def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
         phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
         for phi in vectors
     }
-    out = []
+    out, ones = [], (1,) * n
     for x in vectors:
         pred = next((i for i, m in enumerate(proper) if x in m.elements), len(proper))
         for functional, multiples in map(factors.get, killing[pred]):
-            out.append(RankOneOp(x, functional, Matrix._of(f, tuple([multiples[c] for c in x]), n)))
+            matrix = Matrix._wrap(f, tuple([multiples[c] for c in x]), ones, n)
+            out.append(_rank_one_op(x, functional, matrix))
     return out
 
 
@@ -433,7 +457,7 @@ def matrix_span_basis(mats, field: Field, shape: tuple[int, int]) -> tuple[Matri
     for m in mats:
         if m.field != field or (m.rows, m.cols) != shape:
             raise ValueError("operators must match the given field and shape")
-        stacked.append(m.vectorize())
-    red = rref(Matrix._of(field, tuple(stacked), shape[0] * shape[1]))
-    return _operators(field, red.matrix.entries[: red.rank], shape)
+        stacked.append(integer_vectorize(m)[0])
+    red, _ = echelon(field, stacked, shape[0] * shape[1])
+    return _operators(field, red, leads(red), shape)
 

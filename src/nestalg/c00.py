@@ -401,7 +401,7 @@ def truncation_nest(field: Field, m: int) -> Nest:
     """
     if m < 1:
         raise ValueError("truncation level must be at least 1")
-    rows = Matrix.identity(field, m).entries
+    rows = Matrix.identity(field, m).ints
     members = [span_of(rows[k:], field, m) for k in range(1, m)]
     return new_nest(field, m, members)
 

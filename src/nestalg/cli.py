@@ -56,10 +56,10 @@ from .serialize import (
     ordsum_report_to_json,
     radical_report_to_json,
     rank_one_to_json,
+    rows_from_json,
     subspace_to_json,
     support_nest_to_json,
     tail_functional_to_json,
-    vectors_from_json,
     vector_to_json,
     zigzag_report_to_json,
 )
@@ -95,8 +95,7 @@ def _subspace_arg(docs, nest):
     if not isinstance(doc, dict) or not isinstance(doc.get("subspace"), list):
         raise SpecError("matrix", "expected {\"subspace\": [vectors]}")
     n = nest.ambient_dim
-    vectors = vectors_from_json(nest.field, doc["subspace"], n, "matrix.subspace")
-    return span_of(vectors, nest.field, n)
+    return span_of(rows_from_json(nest.field, doc["subspace"], n, "matrix.subspace"), nest.field, n)
 
 
 def _input_doc(docs):
@@ -188,7 +187,9 @@ def _decompose_approximant(nest, docs):
     raw = docs["matrix"].get("vectors", [])
     if not isinstance(raw, list):
         raise SpecError("matrix.vectors", "expected an array of vectors")
-    vectors = vectors_from_json(nest.field, raw, nest.ambient_dim, "matrix.vectors")
+    # int rows: each a positive multiple of its vector, which changes
+    # neither the span nor whether the approximant agrees with t on it
+    vectors = rows_from_json(nest.field, raw, nest.ambient_dim, "matrix.vectors")
     spn = span_of(vectors, nest.field, nest.ambient_dim)
     s = strict_approximant(nest, t, vectors)
     results = {

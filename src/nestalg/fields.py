@@ -11,10 +11,14 @@ Scalar = Union[Fraction, int]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
-# The one grammar of a rational scalar string: an int or a ratio of ints.
-# Fraction() would also take decimals and exponents, and "1e9999999" costs
+# The one grammar of a scalar string: an int, or over QQ a ratio of ints, in
+# ASCII digits.  int() would also take spaces, underscores and other
+# scripts' digits, Fraction() decimals and exponents, and "1e9999999" costs
 # it time that grows with the exponent.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# Characters of a bad scalar echoed in an error message (`excerpt`).
+ECHO = 32
 
 # Deterministic Miller-Rabin: these witnesses decide primality of every
 # n below MAX_MODULUS (Sorenson and Webster 2015).
@@ -49,8 +53,8 @@ class Field:
     """The rationals (p is None) or the prime field GF(p).
 
     Rational scalars are Fractions (always in lowest terms, positive
-    denominator); GF(p) scalars are ints in [0, p).  All arithmetic goes
-    through the field so callers never special-case the representation.
+    denominator); GF(p) scalars are ints in [0, p).  `ratio` reads any
+    accepted scalar as a pair of ints, the form a `Matrix` stores.
     """
 
     __slots__ = ("p",)
@@ -78,42 +82,40 @@ class Field:
 
     # -- scalar construction ------------------------------------------------
 
-    def coerce(self, value) -> Scalar:
-        """Normalize an int / Fraction / 'a/b' string into this field; a
-        string over QQ must read [+-]?[0-9]+(/[0-9]+)?.
+    def ratio(self, value) -> tuple[int, int]:
+        """(n, d) with value = n / d and d > 0, for an int, a Fraction or a
+        scalar string: over QQ a string must read [+-]?[0-9]+(/[0-9]+)?, over
+        GF(p) [+-]?[0-9]+, and n is then reduced mod p, d being 1.  The pair
+        need not be in lowest terms.
 
         Booleans are refused although bool is an int: a JSON true is not 1.
         """
         p = self.p
-        # Plain ints and Fractions skip the checks below, where
-        # isinstance(x, Fraction) on an int runs the numbers ABC hook in Python.
         if type(value) is int:
-            return Fraction(value) if p is None else value % p
-        if p is None and type(value) is Fraction:
-            return value
-        if isinstance(value, bool):
-            raise TypeError(f"cannot coerce the boolean {value!r} into {self!r}")
-        if self.p is None:
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
-            if isinstance(value, str):
-                match = _RATIONAL.fullmatch(value)
-                if match is None:
-                    raise ValueError(f"{value!r} is not an int or a ratio n/d of ints")
-                num, den = match.groups()
-                return Fraction(int(num), int(den or 1))
-            raise TypeError(f"cannot coerce {value!r} into QQ")
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-            value = value.numerator
+            return (value, 1) if p is None else (value % p, 1)
         if isinstance(value, str):
-            value = int(value)
-        if not isinstance(value, int):
-            raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-        return value % self.p
+            match = _RATIONAL.fullmatch(value)
+            if match is None or (p is not None and match[2] is not None):
+                raise ValueError(f"{excerpt(value)} is not a scalar of {self!r} in ASCII digits")
+            n, d = int(match[1]), int(match[2] or 1)
+            if not d:
+                raise ZeroDivisionError("zero denominator")
+        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            n, d = int(value.numerator), int(value.denominator)
+        else:
+            raise TypeError(f"cannot coerce {excerpt(value)} into {self!r}")
+        if p is None:
+            return n, d
+        if d != 1:
+            raise TypeError(f"cannot coerce the ratio {n}/{d} into {self!r}")
+        return n % p, 1
+
+    def coerce(self, value) -> Scalar:
+        """Normalize an int / Fraction / scalar string (`ratio`) into this field."""
+        if self.p is None and type(value) is Fraction:
+            return value
+        n, d = self.ratio(value)
+        return n if self.p is not None else Fraction(n, d) if d != 1 else Fraction(n)
 
     def zero(self) -> Scalar:
         """One shared Fraction 0 over QQ: comparing two zeros is then an
@@ -151,18 +153,23 @@ class Field:
     # -- serialization ------------------------------------------------------
 
     def format_scalar(self, a: Scalar):
-        """JSON form: 'n' or 'n/d' strings over QQ, plain ints over GF(p)."""
-        if self.p is None:
-            if a.denominator == 1:
-                return str(a.numerator)
-            return f"{a.numerator}/{a.denominator}"
-        return int(a)
+        """JSON form: 'n' or 'n/d' strings over QQ (str of the Fraction, in
+        lowest terms), plain ints over GF(p)."""
+        return str(a) if self.p is None else int(a)
 
     def parse_scalar(self, obj) -> Scalar:
         try:
             return self.coerce(obj)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad scalar {obj!r} for {self!r}") from exc
+            raise ValueError(f"bad scalar {excerpt(obj)} for {self!r}") from exc
+
+
+def excerpt(obj) -> str:
+    """repr(obj), or for a longer value its first ECHO characters and length."""
+    if isinstance(obj, str) and len(obj) > ECHO:
+        return f"{obj[:ECHO]!r}\u2026 ({len(obj)} chars)"
+    text = repr(obj)
+    return text if len(text) <= 2 * ECHO else f"{text[:ECHO]}\u2026 ({len(text)} chars)"
 
 
 QQ = Field()

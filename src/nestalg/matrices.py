@@ -1,4 +1,5 @@
-"""Dense exact matrices with reduced row echelon form, kernels, and solving."""
+"""Dense exact matrices on int rows, with the one elimination routine,
+kernels, inverses and solving."""
 
 from __future__ import annotations
 
@@ -11,140 +12,143 @@ from .fields import QQ, Field, Scalar
 
 Vector = tuple  # row of Scalars; kept as plain tuples throughout
 
+_ZERO = QQ.zero()
+
 
 class Matrix:
-    """Immutable row-major matrix over QQ or GF(p)."""
+    """Immutable row-major matrix over QQ or GF(p), read from rows of
+    scalars (`int_row`).  Row i is stored as an int row over one positive
+    int denominator, ints[i] / dens[i], in lowest terms (the gcd of the
+    entries and the denominator is 1), so equal matrices store equal rows;
+    over GF(p) residues over 1.  Arithmetic, comparison and output run on
+    these ints.  Over QQ the Fraction rows, `entries`, are a view built the
+    first time something reads them; over GF(p) `entries` is `ints`."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "ints", "dens", "entries")
 
-    def __init__(self, field: Field, entries, cols: int | None = None):
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count contradicts the rows")
-            cols = width
-        elif cols is None:
-            cols = 0
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        _set_field(self, field)
-        _set_rows(self, len(rows))
-        _set_cols(self, cols)
-        _set_entries(self, rows)
+    def __new__(cls, field: Field, entries, cols: int | None = None):
+        pairs = [int_row(field, row) for row in entries]
+        width = len(pairs[0][0]) if pairs else cols or 0
+        if cols not in (None, width) or any(len(row) != width for row, _ in pairs):
+            raise ValueError("ragged rows, or rows of another width than cols")
+        return cls._wrap(field, tuple([r for r, _ in pairs]), tuple([d for _, d in pairs]), width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __getattr__(self, name):
+        # Reached only for an unset slot: over QQ the Fraction view `entries`.
+        if name != "entries":
+            raise AttributeError(name)
+        entries = tuple([_fractions(row, den) for row, den in zip(self.ints, self.dens)])
+        _set_entries(self, entries)
+        return entries
+
     @classmethod
     def _of(cls, field: Field, rows: tuple, cols: int) -> Matrix:
-        """Wrap a tuple of equal-length tuples of field elements as is, without
-        the per-entry coercion of the public constructor."""
-        m = object.__new__(cls)
+        """The matrix of a tuple of rows of field elements, over GF(p) as is."""
+        if field.p is None:
+            return cls(field, rows, cols)
+        return cls._wrap(field, rows, (1,) * len(rows), cols)
+
+    @classmethod
+    def _wrap(cls, field: Field, ints: tuple, dens: tuple, cols: int) -> Matrix:
+        """The matrix storing these int row tuples and dens as they are."""
+        m = _new(cls)
         _set_field(m, field)
-        _set_rows(m, len(rows))
+        _set_rows(m, len(ints))
         _set_cols(m, cols)
-        _set_entries(m, rows)
+        _set_ints(m, ints)
+        _set_dens(m, dens)
+        if field.p is not None:
+            _set_entries(m, ints)
         return m
 
     @classmethod
+    def _ints(cls, field: Field, rows, dens, cols: int) -> Matrix:
+        """The matrix with row i rows[i] / dens[i] in lowest terms, for int
+        rows and positive dens; over GF(p) rows of residues, dens ignored."""
+        if field.p is not None:
+            return cls._wrap(field, tuple(map(tuple, rows)), (1,) * len(rows), cols)
+        pairs = [_lowest(row, den) for row, den in zip(rows, dens)]
+        return cls._wrap(field, tuple([r for r, _ in pairs]), tuple([d for _, d in pairs]), cols)
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> Matrix:
-        return cls._of(field, ((field.zero(),) * cols,) * rows, cols)
+        return cls._wrap(field, ((0,) * cols,) * rows, (1,) * rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
-        z, o = field.zero(), field.one()
-        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+        ints = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls._wrap(field, ints, (1,) * n, n)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.cols == self.cols
-            and other.entries == self.entries
+        return isinstance(other, Matrix) and (other.field, other.cols, other.ints, other.dens) == (
+            self.field, self.cols, self.ints, self.dens
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.cols, self.entries))
+        return hash((self.field, self.cols, self.ints, self.dens))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: Matrix) -> Matrix:
+        """Row by row over the lcm of the two rows' denominators."""
         self._check_peer(other, same_shape=True)
-        add = self.field.add
-        return Matrix._of(
-            self.field,
-            tuple(
-                tuple(add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            self.cols,
-        )
+        rows, dens = [], []
+        for ra, da, rb, db in zip(self.ints, self.dens, other.ints, other.dens):
+            den = da if da == db else lcm(da, db)
+            rows.append([a * (den // da) + b * (den // db) for a, b in zip(ra, rb)])
+            dens.append(den)
+        return Matrix._ints(self.field, _residues(self.field, rows), dens, self.cols)
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
 
     def __neg__(self) -> Matrix:
-        neg = self.field.neg
-        entries = tuple(tuple(neg(a) for a in row) for row in self.entries)
-        return Matrix._of(self.field, entries, self.cols)
+        return self.scale(-1)
 
     def __matmul__(self, other: Matrix) -> Matrix:
+        """`integer_product` of the stored rows with other's over one scale."""
         self._check_peer(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        f = self.field
-        cols = other.cols
-        if f.p is not None:
-            return Matrix._of(f, tuple(integer_product(f, self.entries, other.entries, cols)), cols)
-        # A scaled per row times B scaled as a whole, each row divided once
-        a_ints, a_dens = _scaled(self.entries)
-        b_ints, den_b = common_integer_rows(other)
-        out = integer_product(f, a_ints, b_ints, cols)
-        rows = tuple([fraction_row(row, d * den_b) for row, d in zip(out, a_dens)])
-        return Matrix._of(f, rows, cols)
+        b_ints, scale = common_integer_rows(other)
+        out = integer_product(self.field, self.ints, b_ints, other.cols)
+        return Matrix._ints(self.field, out, [d * scale for d in self.dens], other.cols)
 
     def scale(self, c) -> Matrix:
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        entries = tuple(tuple(mul(c, a) for a in row) for row in self.entries)
-        return Matrix._of(self.field, entries, self.cols)
+        n, d = self.field.ratio(c)
+        rows = _residues(self.field, [[n * a for a in row] for row in self.ints])
+        return Matrix._ints(self.field, rows, [d * den for den in self.dens], self.cols)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product; v has length self.cols.
-
-        Sums raw products per row, reduced once mod p over GF(p).  Over QQ
-        the nonzero entries of v are found once, not once per row.
-        """
+        """Matrix-vector product as field elements: the `dots` of the rows
+        with `int_row(v)`, row i over dens[i] times v's denominator."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        p = self.field.p
-        if p is None:
-            zero = self.field.zero()
-            nonzero = [(j, b) for j, b in enumerate(v) if b]
-            return tuple(
-                sum([row[j] * b for j, b in nonzero if row[j]], zero) for row in self.entries
-            )
-        return tuple([sum([a * b for a, b in zip(row, v)]) % p for row in self.entries])
+        f = self.field
+        vi, vd = int_row(f, v)
+        image = dots(self.ints, vi)
+        if f.p is not None:
+            return tuple([x % f.p for x in image])
+        return tuple([Fraction(x, d * vd) if x else _ZERO for x, d in zip(image, self.dens)])
 
     def transpose(self) -> Matrix:
-        """Wrapped as is, the entries being field elements already; rows @
-        m.transpose() holds the dot products of each row with each row of m."""
-        return Matrix._of(self.field, tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
+        """`common_integer_rows` transposed, each row over their scale."""
+        ints, scale = common_integer_rows(self)
+        rows = list(zip(*ints)) or [()] * self.cols
+        return Matrix._ints(self.field, rows, [scale] * len(rows), self.rows)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = self.field.add(acc, self.entries[i][i])
-        return acc
+        return self.field.coerce(sum(self.entries[i][i] for i in range(self.rows)))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(map(any, self.ints))
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -154,8 +158,14 @@ class Matrix:
         return tuple(chain.from_iterable(self.entries))
 
     def to_nested(self) -> list:
-        fmt = self.field.format_scalar
-        return [[fmt(x) for x in row] for row in self.entries]
+        """JSON form: "n" or "n/d" strings over QQ, one gcd per entry of a
+        row whose denominator is not 1; residues over GF(p)."""
+        if self.field.p is not None:
+            return [list(row) for row in self.ints]
+        return [
+            list(map(str, row)) if den == 1 else [_ratio_text(x, den) for x in row]
+            for row, den in zip(self.ints, self.dens)
+        ]
 
     def _check_peer(self, other: Matrix, same_shape: bool = False) -> None:
         if not isinstance(other, Matrix):
@@ -168,49 +178,77 @@ class Matrix:
 
 # The slot setters, bound once: they write past the refusing __setattr__ at
 # about half the cost of object.__setattr__ by name.
-_set_field, _set_rows, _set_cols, _set_entries = (
+_set_field, _set_rows, _set_cols, _set_ints, _set_dens, _set_entries = (
     Matrix.__dict__[a].__set__ for a in Matrix.__slots__
 )
+_new = object.__new__
 
 
-def _scaled(rows) -> tuple[list, list[int]]:
-    """(ints, dens): each Fraction row times the lcm of its own denominators,
-    as ints, and that lcm; row i is ints[i] / dens[i]."""
-    ints, dens = [], []
-    for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        ints.append([n * (den // d) for n, d in ratios] if den > 1 else [n for n, _ in ratios])
-        dens.append(den)
-    return ints, dens
+def _lowest(row, den: int) -> tuple[tuple, int]:
+    """The int row over the positive den in lowest terms (a zero row over 1)."""
+    g = gcd(den, *row)
+    if g == 1:
+        return tuple(row), den
+    return tuple([x // g for x in row]), den // g
+
+
+def _residues(field: Field, rows) -> list:
+    """The int rows mod p over GF(p), as they are over QQ."""
+    p = field.p
+    return rows if p is None else [[x % p for x in row] for row in rows]
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """x / den in JSON form, "n" or "n/d" in lowest terms, for den > 0."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _fractions(row, den: int) -> tuple:
+    """The int row over the positive den as Fractions: `Matrix.entries`."""
+    return tuple([Fraction(x, den) if x else _ZERO for x in row])
+
+
+def int_row(field: Field, values) -> tuple[tuple, int]:
+    """(ints, den) with values[j] = ints[j] / den in lowest terms, den > 0,
+    for scalars (`Field.ratio`); over GF(p) the residues and 1.  The one
+    reading of a row of scalars: the Matrix constructor, the decoder and
+    every vector argument go through it."""
+    ratio, p = field.ratio, field.p
+    if p is not None:
+        return tuple([x % p if type(x) is int else ratio(x)[0] for x in values]), 1
+    pairs = [(x, 1) if type(x) is int else ratio(x) for x in values]
+    den = lcm(*[d for _, d in pairs])
+    return _lowest([n * (den // d) for n, d in pairs], den)
+
+
+def dots(rows, v) -> list:
+    """The dot product of each int row with the int row v, over v's nonzero
+    entries: the int image of v under the rows."""
+    nonzero = [(j, b) for j, b in enumerate(v) if b]
+    return [sum([row[j] * b for j, b in nonzero]) for row in rows]
 
 
 def integer_rows(m: Matrix):
-    """The rows of m as ints, each a nonzero multiple of its row of m: over
-    QQ scaled by the lcm of its own denominators, over GF(p) m's residues as
-    they are."""
-    return m.entries if m.field.p is not None else _scaled(m.entries)[0]
+    """The rows of m as ints, each a nonzero multiple of its row of m."""
+    return m.ints
 
 
 def common_integer_rows(m: Matrix) -> tuple[list, int]:
     """(ints, scale): the rows of m times one nonzero int scale, as ints,
     so that the ints are one multiple of m.  Over QQ the scale is the lcm of
-    all of m's denominators; over GF(p) it is 1, the ints m's residues."""
+    the rows' denominators; over GF(p) it is 1, the ints m's residues."""
     if m.field.p is not None:
-        return m.entries, 1
-    ints, dens = _scaled(m.entries)
-    den = lcm(*dens)
-    return [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)], den
+        return m.ints, 1
+    scale = lcm(*m.dens)
+    return [[x * (scale // d) for x in row] for row, d in zip(m.ints, m.dens)], scale
 
 
-def integer_vector(field: Field, v: Vector) -> tuple[list, int]:
-    """(ints, den): the vector v of field elements times one nonzero int den,
-    as ints, the one-row case of `common_integer_rows`.  Over QQ den is the
-    lcm of v's denominators; over GF(p) it is 1, the ints v's residues."""
-    if field.p is not None:
-        return v, 1
-    [ints], [den] = _scaled((v,))
-    return ints, den
+def integer_vectorize(m: Matrix) -> tuple[list, int]:
+    """(ints, scale): `Matrix.vectorize` of m as one int row over one
+    positive int scale, with no Fraction built (`common_integer_rows`)."""
+    ints, scale = common_integer_rows(m)
+    return list(chain.from_iterable(ints)), scale
 
 
 def sparse_product(field: Field, a_rows, b_sparse, cols: int) -> list:
@@ -237,15 +275,6 @@ def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
     no Fraction built."""
     b_sparse = [[(j, b) for j, b in enumerate(row) if b] for row in b_rows]
     return sparse_product(field, a_rows, b_sparse, cols)
-
-
-def fraction_row(row, den: int) -> tuple:
-    """The int row divided by the nonzero int den, as Fractions, every zero
-    the one shared zero of QQ."""
-    zero = QQ.zero()
-    if den == 1:
-        return tuple([Fraction(x) if x else zero for x in row])
-    return tuple([Fraction(x, den) if x else zero for x in row])
 
 
 @dataclass(frozen=True)
@@ -319,28 +348,25 @@ def _primitive(row) -> list:
     return [x // g for x in row] if g > 1 else list(row)
 
 
-def canonical_rows(field: Field, rows) -> tuple:
-    """Nonzero int rows, each divided by its leading entry, as tuples of
-    field elements: the one place where an elimination builds Fractions.
-    Over GF(p) the rows are those of `echelon` or `integer_kernel`, whose
-    leading entries are 1 already, and are kept as they are."""
-    if field.p is not None:
-        return tuple(map(tuple, rows))
-    return tuple([fraction_row(row, next(filter(None, row))) for row in rows])
+def leads(rows) -> list:
+    """The leading entry of each nonzero int row: for the rows of `echelon`
+    or `integer_kernel`, positive over QQ and 1 over GF(p), the
+    denominators that make them their canonical rows."""
+    return [next(filter(None, row)) for row in rows]
 
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form (unique: leading ones, pivot columns cleared).
 
-    `echelon` on `integer_rows(m)`, each reduced row then divided by its
-    pivot (`canonical_rows`); zero rows pad the result to m's shape.
+    `echelon` on the stored rows, each reduced row over its pivot
+    (`leads`); zero rows pad the result to m's shape.
     """
     f = m.field
-    rows, pivots = echelon(f, integer_rows(m), m.cols)
-    out = canonical_rows(f, rows)
-    if len(rows) < m.rows:
-        out += ((f.zero(),) * m.cols,) * (m.rows - len(rows))
-    return RrefResult(Matrix._of(f, out, m.cols), tuple(pivots), len(pivots))
+    rows, pivots = echelon(f, m.ints, m.cols)
+    pad = m.rows - len(rows)
+    dens = leads(rows) + [1] * pad
+    rows += [(0,) * m.cols] * pad
+    return RrefResult(Matrix._ints(f, rows, dens, m.cols), tuple(pivots), len(pivots))
 
 
 def integer_kernel(field: Field, rows, ncols: int) -> list:
@@ -385,10 +411,10 @@ def integer_kernel(field: Field, rows, ncols: int) -> list:
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of {v : m v = 0} as rows, in canonical reduced echelon form:
-    `integer_kernel` of `integer_rows(m)`, each row divided by its leading
-    entry."""
+    `integer_kernel` of the stored rows, each over its leading entry."""
     f = m.field
-    return Matrix._of(f, canonical_rows(f, integer_kernel(f, integer_rows(m), m.cols)), m.cols)
+    rows = integer_kernel(f, m.ints, m.cols)
+    return Matrix._ints(f, rows, leads(rows), m.cols)
 
 
 def solve(m: Matrix, b: Vector):
@@ -398,9 +424,10 @@ def solve(m: Matrix, b: Vector):
     f, n = m.field, m.cols
     if len(b) != m.rows:
         raise ValueError("rhs length mismatch")
-    b = tuple(f.coerce(x) for x in b)
-    aug = Matrix._of(f, tuple(row + (bv,) for row, bv in zip(m.entries, b)), n + 1)
-    rows, pivots = echelon(f, integer_rows(aug), n + 1)
+    # row i of [m | b] is ints[i] / dens[i] | bs[i] / c: times c dens[i]
+    bs, c = int_row(f, b)
+    aug = [[c * x for x in row] + [bv * d] for row, bv, d in zip(m.ints, bs, m.dens)]
+    rows, pivots = echelon(f, aug, n + 1)
     if n in pivots:
         return None
     x = [f.zero()] * n
@@ -413,16 +440,17 @@ def solve(m: Matrix, b: Vector):
 
 def try_invert(m: Matrix):
     """Two-sided inverse of a square matrix, or None if singular: the
-    `integer_inverse` of the int rows of [m | I], each row divided by its
-    left pivot (`canonical_rows`) and cut to its right half."""
+    `integer_inverse` of the int rows of [m | I], each row cut to its right
+    half over its left pivot (`leads`)."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     f, n = m.field, m.rows
-    aug = tuple(row + irow for row, irow in zip(m.entries, Matrix.identity(f, n).entries))
-    red = integer_inverse(f, integer_rows(Matrix._of(f, aug, 2 * n)))
+    # row i of [m | I] times dens[i]
+    aug = [[*row, *(d * (i == j) for j in range(n))] for i, (row, d) in enumerate(zip(m.ints, m.dens))]
+    red = integer_inverse(f, aug)
     if red is None:
         return None
-    return Matrix._of(f, tuple(row[n:] for row in canonical_rows(f, red)), n)
+    return Matrix._ints(f, [row[n:] for row in red], leads(red), n)
 
 
 def integer_inverse(field: Field, rows):
@@ -452,6 +480,9 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 def outer(field: Field, x: Vector, phi: Vector) -> Matrix:
-    """The operator v -> phi(v) x, as the matrix with entries x[i]*phi[j]."""
-    mul = field.mul
-    return Matrix._of(field, tuple(tuple(mul(xi, pj) for pj in phi) for xi in x), len(phi))
+    """The operator v -> phi(v) x, as the matrix with entries x[i]*phi[j]:
+    for x = X / a and phi = F / b (`int_row`), row i is X[i] F over a b."""
+    xs, a = int_row(field, x)
+    fs, b = int_row(field, phi)
+    rows = _residues(field, [[xi * y for y in fs] for xi in xs])
+    return Matrix._ints(field, rows, [a * b] * len(xs), len(fs))

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field
-from .matrices import Vector, coerce_vector, integer_inverse, integer_vector, is_zero_vector
+from .matrices import Matrix, Vector, int_row, integer_inverse
 from .subspaces import Subspace, enumerate_subspaces, full, span_of, zero_subspace
 
 
@@ -32,9 +33,7 @@ class Nest:
     @property
     def atoms(self) -> tuple[int, ...]:
         """Dimension jumps between consecutive members."""
-        return tuple(
-            self.chain[i + 1].dim - self.chain[i].dim for i in range(len(self.chain) - 1)
-        )
+        return tuple(b.dim - a.dim for a, b in zip(self.chain, self.chain[1:]))
 
     @cached_property
     def frame(self) -> tuple[list, list, tuple[int, ...]]:
@@ -67,34 +66,27 @@ class Nest:
 
     def principal(self, x) -> Subspace:
         """Smallest member containing x; x must be nonzero."""
-        x = self._check_vector(x)
-        for member in self.chain:
-            if member.contains_ints(x):
-                return member
-        raise AssertionError("unreachable: the top member contains every vector")
+        return self.chain[self._principal_index(x)]
 
     def principal_pred(self, x) -> Subspace:
         """Largest member not containing x, the predecessor of principal(x)."""
-        x = self._check_vector(x)
-        for pred, member in zip(self.chain, self.chain[1:]):
-            if member.contains_ints(x):
-                return pred
-        raise AssertionError("unreachable: the top member contains every vector")
+        return self.chain[self._principal_index(x) - 1]
 
     def dual(self) -> Nest:
         """The chain of annihilators in the coordinate dual, reversed."""
         members = [s.annihilator() for s in reversed(self.chain)]
         return Nest(self.field, self.ambient_dim, tuple(members))
 
-    def _check_vector(self, x) -> list:
-        """The nonzero vector x of F^n as one int row (`integer_vector`)."""
-        f, n = self.field, self.ambient_dim
-        x = coerce_vector(f, x)
-        if len(x) != n:
+    def _principal_index(self, x) -> int:
+        """The index of the smallest member holding the nonzero vector x of
+        F^n, read as one int row (`int_row`); at least 1, as chain[0] = {0},
+        and found, as the top member holds every vector."""
+        x = int_row(self.field, x)[0]
+        if len(x) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        if is_zero_vector(x):
+        if not any(x):
             raise ValueError("the zero vector has no principal member")
-        return integer_vector(f, x)[0]
+        return next(i for i, member in enumerate(self.chain) if member.contains_ints(x))
 
 
 def new_nest(field: Field, ambient_dim: int, members) -> Nest:
@@ -104,18 +96,11 @@ def new_nest(field: Field, ambient_dim: int, members) -> Nest:
     """
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be at least 1")
-    seen: list[Subspace] = []
-    for s in members:
-        if s.field != field or s.ambient_dim != ambient_dim:
-            raise ValueError("member has wrong field or ambient dimension")
-        if s not in seen:
-            seen.append(s)
-    bottom = zero_subspace(field, ambient_dim)
-    top = full(field, ambient_dim)
-    for s in (bottom, top):
-        if s not in seen:
-            seen.append(s)
-    seen.sort(key=lambda s: s.dim)
+    members = list(members)
+    if any(s.field != field or s.ambient_dim != ambient_dim for s in members):
+        raise ValueError("member has wrong field or ambient dimension")
+    bounds = [zero_subspace(field, ambient_dim), full(field, ambient_dim)]
+    seen = sorted(dict.fromkeys([*members, *bounds]), key=lambda s: s.dim)
     for a, b in zip(seen, seen[1:]):
         if not a.leq(b):
             raise IncomparableError(a, b)
@@ -131,13 +116,8 @@ def coordinate_nest(field: Field, parts: tuple[int, ...]) -> Nest:
     if not parts or any(p < 1 for p in parts):
         raise ValueError("parts must be positive")
     n = sum(parts)
-    members = []
-    cut = 0
-    ident = full(field, n).basis.entries
-    for p in parts[:-1]:
-        cut += p
-        members.append(span_of(ident[:cut], field, n))
-    return new_nest(field, n, members)
+    ident = Matrix.identity(field, n).ints
+    return new_nest(field, n, [span_of(ident[:c], field, n) for c in itertools.accumulate(parts[:-1])])
 
 
 def flag_nest(field: Field, n: int) -> Nest:
@@ -145,20 +125,13 @@ def flag_nest(field: Field, n: int) -> Nest:
     return coordinate_nest(field, (1,) * n)
 
 
-def iter_compositions(n: int):
-    """All ordered tuples of positive ints summing to n (2^(n-1) of them)."""
+def iter_compositions(n: int) -> list[tuple[int, ...]]:
+    """All ordered tuples of positive ints summing to n (2^(n-1) of them),
+    in lexicographic order: one per set of cut points in 1..n-1."""
     if n < 1:
         raise ValueError("n must be positive")
-
-    def rec(remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(1, remaining + 1):
-            for rest in rec(remaining - first):
-                yield (first,) + rest
-
-    yield from rec(n)
+    cuts = (c for k in range(n) for c in itertools.combinations(range(1, n), k))
+    return sorted(tuple(b - a for a, b in zip((0, *c), (*c, n))) for c in cuts)
 
 
 def ordinal_sum(first: Nest, second: Nest) -> Nest:
@@ -169,14 +142,10 @@ def ordinal_sum(first: Nest, second: Nest) -> Nest:
     f = first.field
     n1, n2 = first.ambient_dim, second.ambient_dim
     n = n1 + n2
-    zeros1 = tuple(f.zero() for _ in range(n1))
-    zeros2 = tuple(f.zero() for _ in range(n2))
-    members = []
-    for s in first.chain:
-        members.append(span_of([row + zeros2 for row in s.basis.entries], f, n))
-    top1 = [row + zeros2 for row in full(f, n1).basis.entries]
-    for s in second.chain[1:]:
-        members.append(span_of(top1 + [zeros1 + row for row in s.basis.entries], f, n))
+    zeros1, zeros2 = (0,) * n1, (0,) * n2
+    members = [span_of([row + zeros2 for row in s.int_rows], f, n) for s in first.chain]
+    top1 = [row + zeros2 for row in Matrix.identity(f, n1).ints]
+    members += [span_of(top1 + [zeros1 + row for row in s.int_rows], f, n) for s in second.chain[1:]]
     return new_nest(f, n, members)
 
 

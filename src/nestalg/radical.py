@@ -213,7 +213,11 @@ def radical_report(nest: Nest, alg: AlgebraBasis | None = None) -> RadicalReport
         nest=nest,
         strict_basis=strict,
         radical_basis=rad,
-        equal=rad.basis == strict.basis,  # both canonical, so equal iff same span
+        # Both come from `_emit` on `echelon` rows, a primitive row with a
+        # positive lead (over GF(p) the residue row with lead 1) per canonical
+        # row, so equal `scaled` means equal canonical bases, that is equal
+        # spans, with no operator built.
+        equal=rad.scaled == strict.scaled,
         nilpotency_index=index,
         alg_dim=alg.dim,
         semisimple_quotient_dim=quotient,
@@ -268,10 +272,14 @@ def ordsum_analyze(
         _check_operator(summed, t)
     rad1, rad2 = (radical_basis_oracle(alg_basis(nest)) for nest in (first, second))
     rad = radical_basis_oracle(alg_basis(summed) if alg is None else alg)
-    sides = (slice(None, first.ambient_dim), slice(first.ambient_dim, None))
+    n1 = first.ambient_dim
+    # (rows or columns, width) of the two sides; a block keeps t's row dens
+    sides = ((slice(None, n1), n1), (slice(n1, None), second.ambient_dim))
 
     def report(t: Matrix) -> OrdinalSumReport:
-        a1, b, c, a2 = (Matrix(t.field, [r[j] for r in t.entries[i]]) for i in sides for j in sides)
+        a1, b, c, a2 = (
+            Matrix._ints(t.field, [r[j] for r in t.ints[i]], t.dens[i], w) for i, _ in sides for j, w in sides
+        )
         c_zero = c.is_zero()
         return OrdinalSumReport(
             first=first,

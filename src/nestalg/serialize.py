@@ -1,8 +1,10 @@
 """JSON encoding and validated decoding for the core types.
 
 Rationals travel as strings ('3', '-5/7'), GF(p) scalars as plain ints in
-[0, p); matrices are row-major nested arrays.  Decoding errors carry the
-JSON path of the offending value.
+[0, p); matrices are row-major nested arrays.  Matrix rows and chain
+members decode straight into int rows (`matrices.int_row`) and matrices
+encode from them (`Matrix.to_nested`), with no Fraction built.  Decoding
+errors carry the JSON path of the offending value.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from .algebra import AlgebraBasis, RankOneOp
 from .c00 import SupportNest, TailFunctional, ZigzagReport
 from .fields import QQ, Field
-from .matrices import Matrix
+from .matrices import Matrix, _fractions, int_row
 from .nests import Nest, new_nest
 from .radical import OrdinalSumReport, RadicalReport
 from .subspaces import Subspace, span_of
@@ -50,16 +52,28 @@ def scalar_from_json(field: Field, obj, path: str):
 
 
 def vector_from_json(field: Field, obj, length: int, path: str) -> tuple:
+    ints, den = row_from_json(field, obj, length, path)
+    return ints if field.p is not None else _fractions(ints, den)
+
+
+def row_from_json(field: Field, obj, length: int, path: str) -> tuple[tuple, int]:
+    """The vector obj as one int row over its denominator (`int_row`); a
+    bad scalar is reported at its own path, found by a second pass."""
     if not isinstance(obj, list):
         raise SpecError(path, "expected an array of scalars")
     if len(obj) != length:
         raise SpecError(path, f"expected {length} entries, got {len(obj)}")
-    return tuple(scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(obj))
+    try:
+        return int_row(field, obj)
+    except (TypeError, ValueError, ZeroDivisionError):
+        for i, x in enumerate(obj):
+            scalar_from_json(field, x, f"{path}[{i}]")
+        raise
 
 
-def vectors_from_json(field: Field, rows: list, length: int, path: str) -> list:
-    """Decode each row of a JSON array with vector_from_json, at path[i]."""
-    return [vector_from_json(field, v, length, f"{path}[{i}]") for i, v in enumerate(rows)]
+def rows_from_json(field: Field, rows: list, length: int, path: str) -> list:
+    """The int row of each vector of a JSON array (`row_from_json`), at path[i]."""
+    return [row_from_json(field, v, length, f"{path}[{i}]")[0] for i, v in enumerate(rows)]
 
 
 def vector_to_json(field: Field, v) -> list:
@@ -76,7 +90,8 @@ def matrix_from_json(field: Field, obj, path: str, rows: int | None = None, cols
         if not obj:
             raise SpecError(path, "empty matrix needs an explicit shape")
         width = len(obj[0])
-    return Matrix(field, tuple(vectors_from_json(field, obj, width, path)), cols=width)
+    pairs = [row_from_json(field, v, width, f"{path}[{i}]") for i, v in enumerate(obj)]
+    return Matrix._wrap(field, tuple([row for row, _ in pairs]), tuple([den for _, den in pairs]), width)
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -123,8 +138,7 @@ def chain_from_json(obj, path: str = "") -> tuple[Field, int, list[Subspace], st
     for i, vectors in enumerate(chain_obj):
         if not isinstance(vectors, list):
             raise SpecError(f"{prefix}.chain[{i}]", "expected an array of basis vectors")
-        rows = vectors_from_json(field, vectors, dim, f"{prefix}.chain[{i}]")
-        members.append(span_of(rows, field, dim))
+        members.append(span_of(rows_from_json(field, vectors, dim, f"{prefix}.chain[{i}]"), field, dim))
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise SpecError(f"{prefix}.name", "expected a string")

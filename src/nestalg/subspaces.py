@@ -11,16 +11,14 @@ from .fields import Field, Scalar
 from .matrices import (
     Matrix,
     Vector,
-    _primitive,
-    canonical_rows,
+    _fractions,
     coerce_vector,
     dot,
     echelon,
-    fraction_row,
+    int_row,
     integer_kernel,
-    integer_rows,
-    integer_vector,
     is_zero_vector,
+    leads,
     solve,
 )
 
@@ -31,7 +29,7 @@ class Subspace:
 
     The basis matrix has no zero rows, so structurally equal subspaces
     compare equal and dim == basis.rows.  The lattice operations and the
-    membership tests run on `int_rows`, the same rows as ints.
+    membership tests run on `int_rows`, the basis' stored int rows.
     """
 
     field: Field
@@ -46,12 +44,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field!r}^{self.ambient_dim})"
 
     @cached_property
-    def int_rows(self):
-        """The basis rows as ints, computed on first use unless the subspace
-        was built from them (`_from_int_rows`): over QQ row i times the lcm
-        L_i of its denominators, a primitive row with leading entry L_i;
-        over GF(p) the residue rows of `basis` themselves."""
-        return integer_rows(self.basis)
+    def int_rows(self) -> tuple:
+        """The basis rows as ints, as the basis stores them: over QQ row i
+        over its denominator L_i in lowest terms is row i times L_i, a
+        primitive row with leading entry L_i; over GF(p) the residue rows."""
+        return self.basis.ints
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -59,10 +56,9 @@ class Subspace:
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.int_rows)
 
     def contains(self, v) -> bool:
-        v = coerce_vector(self.field, v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        return self.contains_ints(integer_vector(self.field, v)[0])
+        return self.contains_ints(int_row(self.field, v)[0])
 
     def contains_ints(self, v) -> bool:
         """Does the subspace hold the vector with int row v: over QQ any
@@ -93,9 +89,9 @@ class Subspace:
         f = self.field
         if f.p is not None:
             return tuple(self._residual(v)[0])
-        ints, den = integer_vector(f, v)
+        ints, den = int_row(f, v)
         r, scale = self._residual(ints)
-        return fraction_row(r, den * scale)
+        return _fractions(r, den * scale)
 
     @cached_property
     def elements(self) -> frozenset:
@@ -142,14 +138,10 @@ class Subspace:
 def _from_int_rows(field: Field, ambient_dim: int, rows, pivots=None) -> Subspace:
     """The subspace whose canonical rows are positive multiples of the int
     rows, as `echelon` and `integer_kernel` give them (over GF(p) the
-    canonical residue rows themselves), with its `int_rows` set: over QQ
-    each row divided by the gcd of its entries, which leaves the canonical
-    row times the lcm of its denominators.  The Fraction basis is built
-    from them once."""
-    if field.p is None:
-        rows = [_primitive(row) for row in rows]
-    s = Subspace(field, ambient_dim, Matrix._of(field, canonical_rows(field, rows), ambient_dim))
-    s.__dict__["int_rows"] = rows
+    canonical residue rows themselves): each row over its leading entry,
+    in lowest terms, is its canonical row."""
+    dens = leads(rows) if field.p is None else None  # over GF(p) the leads are 1
+    s = Subspace(field, ambient_dim, Matrix._ints(field, rows, dens, ambient_dim))
     if pivots is not None:
         s.__dict__["pivots"] = tuple(pivots)
     return s
@@ -157,12 +149,11 @@ def _from_int_rows(field: Field, ambient_dim: int, rows, pivots=None) -> Subspac
 
 def span_of(vectors, field: Field, ambient_dim: int) -> Subspace:
     """Span of the given vectors; the empty list spans {0}."""
-    rows = tuple(coerce_vector(field, v) for v in vectors)
+    rows = [int_row(field, v)[0] for v in vectors]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("vector length mismatch")
-    ints = integer_rows(Matrix._of(field, rows, ambient_dim))
-    return _from_int_rows(field, ambient_dim, *echelon(field, ints, ambient_dim))
+    return _from_int_rows(field, ambient_dim, *echelon(field, rows, ambient_dim))
 
 
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
@@ -181,14 +172,11 @@ def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
     """
     if not inner.leq(outer):
         raise ValueError("inner is not contained in outer")
-    current = list(inner.basis.entries)
-    chosen = []
-    span = inner
-    for row in outer.basis.entries:
-        if not span.contains(row):
-            current.append(row)
+    chosen, span = [], inner
+    for row in outer.int_rows:
+        if not span.contains_ints(row):
             chosen.append(row)
-            span = span_of(current, inner.field, inner.ambient_dim)
+            span = span_of([*inner.int_rows, *chosen], inner.field, inner.ambient_dim)
     return span_of(chosen, inner.field, inner.ambient_dim)
 
 
@@ -208,7 +196,7 @@ class Functional:
 
     def kernel(self) -> Subspace:
         f, n = self.field, self.ambient_dim
-        return _from_int_rows(f, n, integer_kernel(f, [integer_vector(f, self.coeffs)[0]], n))
+        return _from_int_rows(f, n, integer_kernel(f, [int_row(f, self.coeffs)[0]], n))
 
 
 def separating_functional(x, w: Subspace) -> Functional:
@@ -217,13 +205,12 @@ def separating_functional(x, w: Subspace) -> Functional:
     Deterministic: the defining system is solved with free dual
     coordinates set to zero.
     """
-    f = w.field
-    x = coerce_vector(f, x)
+    f, basis = w.field, w.basis
     if w.contains(x):
         raise ValueError("x lies in w, no separating functional exists")
-    system = Matrix._of(f, w.basis.entries + (x,), w.ambient_dim)
-    rhs = tuple(f.zero() for _ in range(w.dim)) + (f.one(),)
-    phi = solve(system, rhs)
+    xs, den = int_row(f, x)
+    system = Matrix._wrap(f, (*basis.ints, xs), (*basis.dens, den), w.ambient_dim)
+    phi = solve(system, (0,) * w.dim + (1,))
     assert phi is not None  # consistent because x is independent of w
     return Functional(f, w.ambient_dim, phi)
 
@@ -242,13 +229,10 @@ def _enumerate_subspaces(p: int, ambient_dim: int) -> tuple[Subspace, ...]:
                 if c not in pivots
             ]
             for values in itertools.product(elements, repeat=len(free_slots)):
-                rows = [[field.zero()] * ambient_dim for _ in range(k)]
-                for r in range(k):
-                    rows[r][pivots[r]] = field.one()
+                rows = [[int(c == pc) for c in range(ambient_dim)] for pc in pivots]
                 for (r, c), val in zip(free_slots, values):
                     rows[r][c] = val
-                basis = Matrix(field, tuple(tuple(r) for r in rows), cols=ambient_dim)
-                out.append(Subspace(field, ambient_dim, basis))
+                out.append(Subspace(field, ambient_dim, Matrix(field, rows, cols=ambient_dim)))
     out.sort(key=lambda s: (s.dim, s.basis.entries))
     return tuple(out)
 

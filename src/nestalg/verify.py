@@ -11,6 +11,7 @@ so a property has one name and one definition everywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -33,7 +34,7 @@ from .algebra import (
     strict_approximant,
 )
 from .fields import GF2, QQ
-from .matrices import Matrix, common_integer_rows, echelon, integer_product, integer_vector, rref, try_invert
+from .matrices import Matrix, common_integer_rows, echelon, int_row, integer_product, rref, try_invert
 from .nests import coordinate_nest, flag_nest, iter_compositions, iter_nests, ordinal_sum
 from .radical import (
     nilpotency_index,
@@ -269,9 +270,7 @@ def check_idempotent(ck: _Check, nest, m, p, parts, ce) -> None:
 
 def check_rank_decomposition(ck: _Check, nest, t, summands, ce) -> None:
     """Rank-one summands of t (`rank_decompose`)."""
-    total = Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim)
-    for s in summands:
-        total = total + s
+    total = sum(summands, Matrix.zeros(nest.field, nest.ambient_dim, nest.ambient_dim))
     ck.record("summands-count-rank", len(summands) == rref(t).rank, ce)
     ck.record("summands-are-rank-one", all(rref(s).rank == 1 for s in summands), ce)
     ck.record("summands-in-algebra", all(in_alg(nest, s) for s in summands), ce)
@@ -367,8 +366,8 @@ def check_exclusion_witness(ck: _Check, nest, t, x, phi, ce) -> bool:
     R t) for c' = a b c has the int rows c' e_i - X_i (F T), and one n x n
     `echelon` of them decides singularity."""
     f, n = nest.field, nest.ambient_dim
-    xs, a = integer_vector(f, x)
-    fs, b = integer_vector(f, phi.coeffs)
+    xs, a = int_row(f, x)
+    fs, b = int_row(f, phi.coeffs)
     ts, c = common_integer_rows(t)
     [psi] = integer_product(f, [fs], ts, n)
     scale = a * b * c
@@ -389,24 +388,36 @@ def dual_suite(seed: int = 0, cases: int = 100) -> list[dict]:
         nest = random_nest(QQ, 4, rng)
         check_dual(ck, nest, nest.dual(), nest_to_json(nest))
     subs = enumerate_subspaces(GF2, 3)
+    # Every operand is one of the 16 subspaces, so each distinct meet, join
+    # and annihilator is computed once by the library, then read from this
+    # table, keyed by the operands' int rows.
+    table = {}
+
+    def once(op, *operands):
+        key = (op, *(s.int_rows for s in operands))
+        if key not in table:
+            table[key] = getattr(operands[0], op)(*operands[1:])
+        return table[key]
+
     # (meet, join, meet of annihilators, join of annihilators) of each
     # member and pair; a triple extends its leading pair's by one member
-    folds = {(i,): (s, s, s.annihilator(), s.annihilator()) for i, s in enumerate(subs)}
+    folds = {(i,): (s, s, once("annihilator", s), once("annihilator", s)) for i, s in enumerate(subs)}
     for fam in itertools.chain(
         itertools.combinations(range(len(subs)), 2), itertools.combinations(range(len(subs)), 3)
     ):
         meets, joins, ann_meet, ann_join = folds[fam[:-1]]
         s = subs[fam[-1]]
-        meets, joins = meets.meet(s), joins.join(s)
-        ann_meet, ann_join = ann_meet.meet(s.annihilator()), ann_join.join(s.annihilator())
+        ann = once("annihilator", s)
+        meets, joins = once("meet", meets, s), once("join", joins, s)
+        ann_meet, ann_join = once("meet", ann_meet, ann), once("join", ann_join, ann)
         if len(fam) == 2:
             folds[fam] = meets, joins, ann_meet, ann_join
 
         def ce():
             return {"family": [subspace_to_json(subs[i]) for i in fam]}
 
-        ck.record("annihilator-of-join", ann_meet == joins.annihilator(), ce)
-        ck.record("annihilator-of-meet", ann_join == meets.annihilator(), ce)
+        ck.record("annihilator-of-join", ann_meet == once("annihilator", joins), ce)
+        ck.record("annihilator-of-meet", ann_join == once("annihilator", meets), ce)
     return ck.verdicts()
 
 
@@ -414,14 +425,11 @@ def check_dual(ck: _Check, nest, d, ce) -> None:
     """The annihilator chain d of a nest (`Nest.dual`)."""
     ck.record("double-dual-identity", d.dual() == nest, ce)
     ck.record("atoms-reverse", d.atoms == tuple(reversed(nest.atoms)), ce)
-    ok = True
     k = len(nest.chain)
-    for i in range(k):
-        for j in range(k):
-            ok = ok and (
-                nest.chain[i].leq(nest.chain[j])
-                == d.chain[k - 1 - j].leq(d.chain[k - 1 - i])
-            )
+    ok = all(
+        nest.chain[i].leq(nest.chain[j]) == d.chain[k - 1 - j].leq(d.chain[k - 1 - i])
+        for i, j in itertools.product(range(k), repeat=2)
+    )
     ck.record("anti-isomorphism", ok, ce)
 
 
@@ -538,10 +546,7 @@ def c00_suite() -> list[dict]:
         )
         for indices in ([1], [2, 4], [1, 3, 7]):
             members = [nest.member(i) for i in indices]
-            anns = [c00.support_annihilator(m) for m in members]
-            acc = anns[0]
-            for a in anns[1:]:
-                acc = acc.intersect(a)
+            acc = functools.reduce(c00.SupportSet.intersect, map(c00.support_annihilator, members))
             ck.record(
                 "finite-meet-of-annihilators",
                 acc == c00.support_annihilator(c00.chain_union(nest, indices)),
@@ -581,7 +586,7 @@ def c00_suite() -> list[dict]:
             power = power @ (a @ t)
             # grade-k image: first k dual coordinates die
             graded_ok = graded_ok and all(
-                not power.entries[i][j] for i in range(min(k, m)) for j in range(m)
+                not power.ints[i][j] for i in range(min(k, m)) for j in range(m)
             )
         ck.record("truncation-grading", graded_ok, {"level": m})
         s = c00.graded_quasi_inverse(t, a, m)

@@ -954,3 +954,13 @@ def test_main_exit_contract_fuzz(tmp_path, command, field, dim, cases, name, dat
     assert ("error" in report) == (code == 2)
     if code != 2:
         assert (code == 0) == all(v["pass"] for v in report["verdicts"])
+
+
+def test_bad_scalar_error_report_is_short(tmp_path):
+    doc = dict(FLAG3, chain=[[["1", "x" * 100000, "0"]]])
+    proc = run_cli("check", "--input", write(tmp_path, "long.json", doc), timeout=10)
+    assert proc.returncode == 2
+    assert len(proc.stdout.encode()) < 1024
+    error = load_report(proc)["error"]
+    assert error["type"] == "input" and error["path"] == "input.chain[0][0][1]"
+    assert "(100000 chars)" in error["message"]

@@ -203,3 +203,32 @@ def test_zigzag_report_shape():
         "dual-of-omega",
         "dual-of-omega-star",
     ]
+
+
+def test_gf_p_scalar_strings_follow_the_int_grammar():
+    # the ASCII grammar [+-]?[0-9]+ of a Q numerator: int() alone would read
+    # " 1_0 " as 10 and the Arabic-Indic digit three as 3
+    for bad in (" 1_0 ", "٣", "1.0", "1/1", "", "+-1"):
+        with pytest.raises(ValueError):
+            GF3.parse_scalar(bad)
+        with pytest.raises(SpecError) as exc:
+            nest_from_json({"field": {"p": 3}, "dim": 2, "chain": [[["1", bad]]]})
+        assert exc.value.path == "nest.chain[0][0][1]"
+    assert [GF3.parse_scalar(x) for x in ("2", "-4", "+7", 2, -4, 7)] == [2, 2, 1, 2, 2, 1]
+    nest, _ = nest_from_json({"field": {"p": 3}, "dim": 2, "chain": [[["2", -4]]]})
+    assert nest.chain[1].int_rows == ((1, 1),)
+    assert matrix_from_json(GF3, [["2", -4], [5, "0"]], "m").entries == ((2, 2), (2, 0))
+
+
+def test_bad_scalar_echo_is_bounded():
+    long = "x" * 100000
+    with pytest.raises(ValueError) as exc:
+        QQ.parse_scalar(long)
+    message = str(exc.value)
+    assert len(message) < 100 and "(100000 chars)" in message and "'xxxx" in message
+    with pytest.raises(ValueError) as exc:
+        GF3.parse_scalar([[0] * 1000])
+    assert len(str(exc.value)) < 100
+    with pytest.raises(ValueError) as exc:
+        QQ.parse_scalar("1//2")
+    assert str(exc.value) == "bad scalar '1//2' for QQ"
