@@ -1,5 +1,7 @@
 """Exact-arithmetic nest algebras over the rationals and prime fields."""
 
+import importlib
+
 from .algebra import (
     AlgebraBasis,
     MembershipError,
@@ -19,27 +21,6 @@ from .algebra import (
     strict_approximant,
     transporter,
 )
-from .c00 import (
-    CATALOG,
-    DualSupportResult,
-    SupportNest,
-    SupportSet,
-    TailFunctional,
-    ZigzagReport,
-    chain_union,
-    dual_support_nest,
-    family_meet,
-    graded_quasi_inverse,
-    initial,
-    omega_nest,
-    omega_star_nest,
-    principal_support,
-    support_annihilator,
-    tail_from,
-    truncation_nest,
-    zigzag_nest,
-    zigzag_report,
-)
 from .fields import GF, GF2, GF3, QQ, Field
 from .matrices import Matrix, RrefResult, dot, kernel_basis, outer, rref, solve, try_invert
 from .nests import (
@@ -51,20 +32,6 @@ from .nests import (
     new_nest,
     ordinal_sum,
     trivial_nest,
-)
-from .radical import (
-    OrdinalSumReport,
-    RadicalReport,
-    ideal_nilpotency_index,
-    in_strict_ideal,
-    in_strict_ideal_witness,
-    nilpotency_index,
-    ordsum_analyze,
-    quasi_inverse,
-    radical_basis_oracle,
-    radical_exclusion_witness,
-    radical_report,
-    strict_ideal_basis,
 )
 from .subspaces import (
     Functional,
@@ -78,3 +45,29 @@ from .subspaces import (
 )
 
 __version__ = "0.1.0"
+
+# The c00 catalog and the radical are imported on first use, so that a caller
+# of the finite-dimensional core neither compiles nor keeps them.
+_LAZY = {
+    "c00": (
+        "CATALOG", "DualSupportResult", "SupportNest", "SupportSet", "TailFunctional",
+        "ZigzagReport", "chain_union", "dual_support_nest", "family_meet",
+        "graded_quasi_inverse", "initial", "omega_nest", "omega_star_nest",
+        "principal_support", "support_annihilator", "tail_from", "truncation_nest",
+        "zigzag_nest", "zigzag_report",
+    ),
+    "radical": (
+        "OrdinalSumReport", "RadicalReport", "ideal_nilpotency_index",
+        "in_strict_ideal", "in_strict_ideal_witness", "nilpotency_index",
+        "ordsum_analyze", "quasi_inverse", "radical_basis_oracle",
+        "radical_exclusion_witness", "radical_report", "strict_ideal_basis",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

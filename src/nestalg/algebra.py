@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import lcm
-from operator import or_
+from operator import and_, getitem, or_
 
 from .fields import Field
 from .matrices import (
@@ -29,8 +29,9 @@ from .subspaces import (
     Functional,
     Subspace,
     _from_int_rows,
+    check_enumeration_bound,
     enumerate_subspaces,
-    row_image_tables,
+    pair_tables,
     separating_functional,
     span_of,
 )
@@ -270,19 +271,6 @@ class RankOneOp:
         return self.phi(self.x) == self.matrix.field.one()
 
 
-# The slot setters of RankOneOp, bound once, as for Matrix: the many
-# rank-ones of `all_rank_ones_in_alg` skip the frozen __init__.
-_set_x, _set_phi, _set_matrix = (RankOneOp.__dict__[a].__set__ for a in RankOneOp.__slots__)
-
-
-def _rank_one_op(x: Vector, phi: Functional, matrix: Matrix) -> RankOneOp:
-    r = object.__new__(RankOneOp)
-    _set_x(r, x)
-    _set_phi(r, phi)
-    _set_matrix(r, matrix)
-    return r
-
-
 def rank_one(x, phi: Functional) -> RankOneOp:
     f = phi.field
     x = coerce_vector(f, x)
@@ -380,52 +368,59 @@ def invariant_lattice(ops, field: Field, ambient_dim: int) -> list[Subspace]:
     """All subspaces of GF(p)^n invariant under every given operator.
 
     A filter over enumerate_subspaces, so its bound applies (p in {2,3},
-    n <= 4), and no product is formed.  The image t v_k of the k-th distinct
-    enumerated basis row is the tuple of the tabulated dot products of the
-    rows of t with v_k (`row_image_tables`).  Each distinct pair (k, t v_k)
-    rules out, by one tabulated bitmask, the subspaces with basis row v_k
-    that miss t v_k; the subspaces no pair rules out are kept.
+    n <= 4), and no product is formed.  The pairs (k, t v_k) of an operator
+    t, for the distinct enumerated basis rows v_k, are one bitmask: the AND
+    of the tabulated masks of its rows (`pair_tables`).  Each pair of the
+    union of these masks rules out, by its tabulated `excluded` mask, the
+    subspaces with basis row v_k that miss t v_k; the rest are kept.
     """
     n = ambient_dim
     ops = tuple(ops)
-    for t in ops:
-        if t.field != field or (t.rows, t.cols) != (n, n):
-            raise ValueError("operators must match the given field and shape")
+    kinds = {(id(t.field), t.rows, t.cols): t.field for t in ops}  # one Field.__eq__ per kind
+    if any(g != field or (r, c) != (n, n) for (_, r, c), g in kinds.items()):
+        raise ValueError("operators must match the given field and shape")
     subspaces = enumerate_subspaces(field, n)
-    images, excluded = row_image_tables(field.p, n)
-    gathered = [list(map(images.__getitem__, rows)) for rows in zip(*[t.entries for t in ops])]
-    pairs = itertools.chain.from_iterable(map(enumerate, map(zip, *gathered))) if gathered else ()
-    mask = reduce(or_, map(excluded.__getitem__, set(pairs)), 0)
+    rows, excluded = pair_tables(field.p, n)
+    union = reduce(or_, [reduce(and_, map(getitem, rows, t.ints)) for t in ops], 0)
+    # the set bits of the union, read from its binary digits, lowest first
+    mask = reduce(or_, [excluded[i] for i, d in enumerate(reversed(bin(union))) if d == "1"], 0)
     return [s for bit, s in enumerate(subspaces) if not mask >> bit & 1]
+
+
+@lru_cache(maxsize=None)
+def _rank_one_table(p: int, n: int) -> dict:
+    """x -> {phi: the RankOneOp x (x) phi} over the nonzero vectors of
+    GF(p)^n, both in product order.  Built once per (p, n) and shared:
+    every part of a RankOneOp is immutable."""
+    f, ones = Field(p), (1,) * n
+    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+    factors = {phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
+               for phi in vectors}
+    return {x: {phi: RankOneOp(x, functional, Matrix._wrap(f, tuple([rows[c] for c in x]), ones, n))
+                for phi, (functional, rows) in factors.items()}
+            for x in vectors}
 
 
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
     """Every rank-one member of the algebra over a small finite field, one
     per (x, phi) pair of nonzero vectors (scalar multiples included), x
     outer and phi inner: phi must kill the principal predecessor of x.
+    Bounded as enumerate_subspaces is (p in {2,3}, n <= 4).
 
     The functionals killing a proper member are the nonzero elements of its
     annihilator (every nonzero vector kills {0}), sorted into the order of
     itertools.product, and x's principal member is the first proper member
-    whose elements hold x (F^n if none).  x (x) phi is assembled from the
-    rows c * phi, computed once per phi."""
-    f = nest.field
-    if f.is_rationals:
-        raise ValueError("rank-one enumeration needs a finite field")
-    n, p = nest.ambient_dim, f.p
-    vectors = [v for v in itertools.product(f.elements(), repeat=n) if any(v)]
+    whose elements hold x (F^n if none).  The operators are read from the
+    table of every x (x) phi (`_rank_one_table`) into a fresh list."""
+    f, n = nest.field, nest.ambient_dim
+    check_enumeration_bound(f, n)
+    table = _rank_one_table(f.p, n)
     proper = nest.chain[1:-1]
-    killing = [vectors] + [sorted(v for v in m.annihilator().elements if any(v)) for m in proper]
-    factors = {
-        phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
-        for phi in vectors
-    }
-    out, ones = [], (1,) * n
-    for x in vectors:
+    killing = [list(table)] + [sorted(v for v in m.annihilator().elements if any(v)) for m in proper]
+    out = []
+    for x, row in table.items():
         pred = next((i for i, m in enumerate(proper) if x in m.elements), len(proper))
-        for functional, multiples in map(factors.get, killing[pred]):
-            matrix = Matrix._wrap(f, tuple([multiples[c] for c in x]), ones, n)
-            out.append(_rank_one_op(x, functional, matrix))
+        out += map(row.__getitem__, killing[pred])
     return out
 
 

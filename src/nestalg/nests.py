@@ -36,7 +36,7 @@ class Nest:
         return tuple(b.dim - a.dim for a, b in zip(self.chain, self.chain[1:]))
 
     @cached_property
-    def frame(self) -> tuple[list, list, tuple[int, ...]]:
+    def frame(self) -> tuple[tuple, tuple, tuple[int, ...]]:
         """A basis of F^n adapted to the chain, as (columns of S, rows of
         S^-1, block), the columns and rows as ints.  The columns of S are,
         member by member, the RREF basis rows of each nonzero member whose
@@ -55,7 +55,8 @@ class Nest:
             block += [k] * len(fresh)
         f, n = self.field, self.ambient_dim
         aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
-        return columns, [row[n:] for row in integer_inverse(f, aug)], tuple(block)
+        inverse = tuple(tuple(row[n:]) for row in integer_inverse(f, aug))
+        return tuple(columns), inverse, tuple(block)
 
     def __repr__(self) -> str:
         dims = [s.dim for s in self.chain]
@@ -152,14 +153,16 @@ def ordinal_sum(first: Nest, second: Nest) -> Nest:
 def iter_nests(field: Field, ambient_dim: int):
     """All nests of GF(p)^n, one per chain of proper nonzero subspaces.
 
-    Inherits the enumeration bound of enumerate_subspaces.
+    Inherits the enumeration bound of enumerate_subspaces.  The nests share
+    their members: the enumerated subspaces, and one {0} and one F^n.
     """
     proper = [
         s for s in enumerate_subspaces(field, ambient_dim) if 0 < s.dim < ambient_dim
     ]
+    bottom, top = zero_subspace(field, ambient_dim), full(field, ambient_dim)
 
     def extend(prefix: list[Subspace], start: int):
-        yield new_nest(field, ambient_dim, prefix)
+        yield Nest(field, ambient_dim, (bottom, *prefix, top))
         for i in range(start, len(proper)):
             s = proper[i]
             if not prefix or (prefix[-1].dim < s.dim and prefix[-1].leq(s)):

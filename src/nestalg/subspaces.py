@@ -238,23 +238,30 @@ def _enumerate_subspaces(p: int, ambient_dim: int) -> tuple[Subspace, ...]:
 
 
 @lru_cache(maxsize=None)
-def row_image_tables(p: int, ambient_dim: int) -> tuple[dict, dict]:
-    """Tables over the subspaces of GF(p)^n; call enumerate_subspaces first
-    for its bound check.  `images` maps each vector r to the tuple of r . v_k
-    mod p over the distinct basis rows v_k, in order of first appearance;
-    `excluded` maps (k, y) to the bitmask, by enumeration index, of the
-    subspaces that have v_k as a basis row but do not contain y."""
+def pair_tables(p: int, ambient_dim: int) -> tuple[tuple, tuple]:
+    """Bitmasks over the pairs (k, y), bit k * p^n + j for the k-th distinct
+    basis row v_k of the subspaces of GF(p)^n and the j-th vector y in
+    product order; call enumerate_subspaces first for its bound check.
+    `rows[i]` maps a vector r to the pairs with y_i = r . v_k mod p, so the
+    AND over i of rows[i][t_i] is the pairs (k, t v_k) of the operator with
+    rows t_i.  `excluded[pair]` masks, by enumeration index, the subspaces
+    that have v_k as a basis row but do not contain y."""
     subspaces = _enumerate_subspaces(p, ambient_dim)
-    rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
+    basis_rows = tuple(dict.fromkeys(v for s in subspaces for v in s.basis.entries))
     vectors = tuple(itertools.product(range(p), repeat=ambient_dim))
-    images = {r: tuple([sum(a * b for a, b in zip(r, v)) % p for v in rows]) for r in vectors}
-    excluded = dict.fromkeys(itertools.product(range(len(rows)), vectors), 0)
+    width = len(vectors)
+    # level[i][c]: the vectors y with y_i = c, as a mask of width p^n
+    level = [[sum(1 << j for j, y in enumerate(vectors) if y[i] == c) for c in range(p)]
+             for i in range(ambient_dim)]
+    images = {r: [sum(a * b for a, b in zip(r, v)) % p for v in basis_rows] for r in vectors}
+    rows = tuple({r: sum(at[c] << k * width for k, c in enumerate(image))
+                  for r, image in images.items()} for at in level)
+    excluded = [0] * (len(basis_rows) * width)
     for bit, s in enumerate(subspaces):
-        outside = [y for y in vectors if y not in s.elements]
-        for k in map(rows.index, s.basis.entries):
-            for y in outside:
-                excluded[k, y] |= 1 << bit
-    return images, excluded
+        outside = [j for j, y in enumerate(vectors) if y not in s.elements]
+        for pair in (basis_rows.index(v) * width + j for v in s.basis.entries for j in outside):
+            excluded[pair] |= 1 << bit
+    return rows, tuple(excluded)
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int) -> tuple[Subspace, ...]:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from nestalg.algebra import (
     MembershipError,
     RankOneOp,
     _forbidden,
+    _rank_one_table,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -29,7 +31,7 @@ from nestalg.algebra import (
     strict_approximant,
     transporter,
 )
-from nestalg.fields import GF2, GF3, QQ
+from nestalg.fields import GF2, GF3, QQ, Field
 from nestalg.matrices import Matrix, dot, is_zero_vector, kernel_basis
 from nestalg.nests import coordinate_nest, flag_nest, iter_nests, new_nest, trivial_nest
 from nestalg.radical import in_strict_ideal_witness, strict_ideal_basis
@@ -547,6 +549,47 @@ def test_reflexivity_caches_nothing_on_the_bounding_members():
     for member in (nest.chain[0], nest.chain[-1]):
         assert "elements" not in member.__dict__
         assert "_annihilator" not in member.__dict__
+
+
+def test_all_rank_ones_return_a_fresh_list():
+    # the operators are shared across calls, the list is not: a caller that
+    # mutates its result leaves the next call unchanged
+    for field, n in ((GF2, 4), (GF3, 3)):
+        rng = random.Random(n)
+        for nest in (flag_nest(field, n), trivial_nest(field, n), random_nest(field, n, rng)):
+            ones = all_rank_ones_in_alg(nest)
+            ones.reverse()
+            ones[0] = None
+            del ones[1:]
+            assert all_rank_ones_in_alg(nest) == scan_rank_ones_reference(nest)
+
+
+def test_all_rank_ones_check_the_bound_before_building_a_table():
+    # GF(5)^2 and GF(2)^5 lie outside the bound of invariant_lattice: refused
+    # at once, with no table built or cached
+    cached = _rank_one_table.cache_info().currsize
+    for nest in (flag_nest(Field(5), 2), flag_nest(GF2, 5)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="enumeration bound"):
+            all_rank_ones_in_alg(nest)
+        assert time.perf_counter() - start < 1.0
+    assert _rank_one_table.cache_info().currsize == cached
+
+
+def test_invariant_lattice_of_one_rank_one_in_closed_form():
+    # M is invariant under x (x) phi iff x lies in M or phi vanishes on M,
+    # decided here on each subspace's basis rows, with no table
+    for field, n in ((GF2, 3), (GF3, 2)):
+        vectors = [v for v in itertools.product(range(field.p), repeat=n) if any(v)]
+        subspaces = enumerate_subspaces(field, n)
+        for x in vectors:
+            for coeffs in vectors:
+                phi = Functional(field, n, coeffs)
+                expected = [
+                    m for m in subspaces
+                    if m.contains(x) or not any(phi(v) for v in m.basis.entries)
+                ]
+                assert invariant_lattice([rank_one(x, phi).matrix], field, n) == expected
 
 
 def reference_pairs(nest, kind):

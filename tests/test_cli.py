@@ -964,3 +964,17 @@ def test_bad_scalar_error_report_is_short(tmp_path):
     error = load_report(proc)["error"]
     assert error["type"] == "input" and error["path"] == "input.chain[0][0][1]"
     assert "(100000 chars)" in error["message"]
+
+
+def test_import_leaves_c00_and_radical_for_first_use():
+    # the core imports alone; the lazy names resolve to the modules' own objects
+    code = (
+        "import sys, nestalg\n"
+        "assert not {'nestalg.c00', 'nestalg.radical'} & set(sys.modules)\n"
+        "from nestalg import CATALOG, radical_report\n"
+        "assert nestalg.c00.CATALOG is CATALOG\n"
+        "assert nestalg.radical.radical_report is radical_report\n"
+        "assert not hasattr(nestalg, 'no_such_name')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

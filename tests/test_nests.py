@@ -195,6 +195,15 @@ def test_iter_nests_distinct_and_valid():
     assert len(seen) == 36
 
 
+def test_iter_nests_share_their_members():
+    # one {0} and one F^n for the whole sweep, as for the enumerated members,
+    # in nests equal to those new_nest builds from the same members
+    nests = list(iter_nests(GF3, 2))
+    assert len({id(n.chain[0]) for n in nests}) == len({id(n.chain[-1]) for n in nests}) == 1
+    for nest in nests:
+        assert nest == new_nest(GF3, 2, nest.chain[1:-1])
+
+
 def test_membership_and_index():
     nest = flag_nest(QQ, 3)
     m = span_of([E1], QQ, 3)
