@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import lcm
 from operator import and_, getitem, or_
 
@@ -159,29 +159,53 @@ def _constraint_kernel(nest: Nest, kind: str) -> AlgebraBasis:
     return _emit(nest, kind, echelon(f, gens, n * n)[0])
 
 
-def _conjugates(nest: Nest, ints) -> list[tuple]:
-    """The entries of S^-1 t S for each operator t, S of `Nest.frame`, up to
-    a diagonal scaling D_r (S^-1 t S) D_c with nonzero D_r, D_c, as ints.
-    Each row of ints is a vectorized t times a nonzero int: `scaled` of a
-    basis, or `integer_vectorize` of one operator.  Two integer products: the
-    ops stacked @ S, then S^-1 @ those side by side."""
-    f, n = nest.field, nest.ambient_dim
-    columns, inv_rows, _ = nest.frame
-    stacked = [v[i : i + n] for v in ints for i in range(0, n * n, n)]
-    right = integer_product(f, stacked, list(zip(*columns)), n)
-    side_by_side = [list(itertools.chain(*right[r::n])) for r in range(n)]
-    rows = integer_product(f, inv_rows, side_by_side, len(ints) * n)
-    return [tuple(row[k * n : k * n + n] for row in rows) for k in range(len(ints))]
+def _frame_entries(nest: Nest, ints, keep):
+    """Yield (block[r], block[c], row) per position (r, c) with keep(block[r],
+    block[c]), row-major: row k is u_r t_k v_c, t_k with int row ints[k], for
+    u_r, v_c row r of S^-1 and column c of S (`Nest.frame`), up to a nonzero
+    factor of (r, c), mod p.  Sums skip zeros, t_k indexed by position: one
+    lookup a position on a coordinate frame; other u_r sum u_r t_k once."""
+    n, d, p = nest.ambient_dim, len(ints), nest.field.p
+    columns, inv_rows, block = nest.frame
+    at = [[] for _ in range(n * n)]
+    for k, v in enumerate(ints):
+        for q in itertools.compress(range(n * n), v):
+            at[q].append((k, v[q]))
+    vs = [[(j, b) for j, b in enumerate(v) if b] for v in columns]
+    for r, u in enumerate(inv_rows):
+        cs = [c for c in range(n) if keep(block[r], block[c])]
+        terms = [(i * n, a) for i, a in enumerate(u) if a] if cs else ()
+        if len(terms) == 1:
+            by_col = at[terms[0][0] : terms[0][0] + n]
+        elif terms:
+            sums = [{} for _ in range(n)]
+            for i, a in terms:
+                for j, m in enumerate(sums):
+                    for k, x in at[i + j]:
+                        m[k] = m.get(k, 0) + a * x
+            by_col = [list(m.items()) for m in sums]
+        for c in cs:
+            acc = [0] * d
+            for j, b in vs[c]:
+                for k, x in by_col[j]:
+                    acc[k] += b * x
+            yield block[r], block[c], acc if p is None else [x % p for x in acc]
 
 
-def _first_violation(nest: Nest, kind: str, conjugates) -> int | None:
-    """None if every S^-1 t S of conjugates (`_conjugates`) vanishes at every
-    `_forbidden` entry, else the least block[c] = k over the nonzero
-    forbidden entries (r, c): member k + 1 is the first that a t moves out
-    of bounds, out of itself (FULL) or of its predecessor (STRICT)."""
+def _first_violation(nest: Nest, kind: str, conjugate) -> int | None:
+    """None if the S^-1 t S of `_conjugate` vanishes at every `_forbidden`
+    entry, else the least block[c] = k over its nonzero forbidden entries
+    (r, c): member k + 1 is the first that t moves out of bounds, out of
+    itself (FULL) or of its predecessor (STRICT)."""
     block = nest.frame[2]
-    nonzero = ((r, c) for t in conjugates for r, row in enumerate(t) for c, x in enumerate(row) if x)
+    nonzero = ((r, c) for r, row in enumerate(conjugate) for c, x in enumerate(row) if x)
     return min((block[c] for r, c in nonzero if _forbidden(kind, block[r], block[c])), default=None)
+
+
+def _vanishes(nest: Nest, ints, kind: str) -> bool:
+    """Is every S^-1 t S, for t of ints (`_frame_entries`), zero at each
+    `_forbidden` entry: is each t in the algebra (FULL) or J (STRICT)?"""
+    return not any(any(row) for *_, row in _frame_entries(nest, ints, partial(_forbidden, kind)))
 
 
 def _operators(field: Field, rows, dens, shape: tuple[int, int]) -> tuple[Matrix, ...]:
@@ -200,10 +224,15 @@ def alg_basis(nest: Nest) -> AlgebraBasis:
     return _constraint_kernel(nest, FULL)
 
 
-def _conjugate(nest: Nest, t: Matrix) -> list[tuple]:
-    """`_conjugates` of the one operator t, checked against the nest."""
+def _conjugate(nest: Nest, t: Matrix) -> list:
+    """S^-1 t S up to nonzero diagonal scalings D_r (.) D_c, as int rows, for
+    t checked against the nest: t over one scale @ S, then S^-1 @ that, two
+    dense products, which for one operator beat `_frame_entries`."""
     _check_operator(nest, t)
-    return _conjugates(nest, [integer_vectorize(t)[0]])
+    f, n = nest.field, nest.ambient_dim
+    columns, inv_rows, _ = nest.frame
+    right = integer_product(f, common_integer_rows(t)[0], list(zip(*columns)), n)
+    return integer_product(f, inv_rows, right, n)
 
 
 def _violation(nest: Nest, t: Matrix, kind: str, conjugate=None):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .fields import QQ, Field, Scalar
@@ -273,7 +273,7 @@ def integer_product(field: Field, a_rows, b_rows, cols: int) -> list:
     all of b scales all of it, so `integer_rows(A)` times
     `common_integer_rows(B)` is A @ B up to a nonzero multiple per row, with
     no Fraction built."""
-    b_sparse = [[(j, b) for j, b in enumerate(row) if b] for row in b_rows]
+    b_sparse = [[(j, row[j]) for j in compress(range(cols), row)] for row in b_rows]
     return sparse_product(field, a_rows, b_sparse, cols)
 
 

@@ -91,7 +91,7 @@ class Nest:
 
 
 def new_nest(field: Field, ambient_dim: int, members) -> Nest:
-    """Build a nest from arbitrary members: dedupe, sort, add {0} and F^n.
+    """Build a nest from arbitrary members: dedupe, sort, add the shared {0} and F^n.
 
     Raises IncomparableError when two members fail to nest.
     """
@@ -101,7 +101,7 @@ def new_nest(field: Field, ambient_dim: int, members) -> Nest:
     if any(s.field != field or s.ambient_dim != ambient_dim for s in members):
         raise ValueError("member has wrong field or ambient dimension")
     bounds = [zero_subspace(field, ambient_dim), full(field, ambient_dim)]
-    seen = sorted(dict.fromkeys([*members, *bounds]), key=lambda s: s.dim)
+    seen = sorted(dict.fromkeys([*bounds, *members]), key=lambda s: s.dim)
     for a, b in zip(seen, seen[1:]):
         if not a.leq(b):
             raise IncomparableError(a, b)

@@ -1,14 +1,17 @@
-"""The strictly-shifting ideal of a nest algebra and its radical.
+"""The strictly-shifting ideal J of a nest algebra and its radical.
 
 The radical is computed independently through the trace form over every
-field: tr(x y) on the algebra pairs only its diagonal blocks M_d(F), where
-it is nondegenerate in any characteristic (tr(E_ij E_ji) = 1), so its kernel
-is the radical exactly when it equals the strictly-shifting ideal.
+field, read off the chain-adapted frame S (`Nest.frame`): on the algebra,
+tr(x y) pairs only the diagonal-block entries of S^-1 x S, where it is
+nondegenerate in any characteristic (tr(E_ij E_ji) = 1), so no Gram matrix
+is formed.  The index of J is a shift check on S^-1 b S and a witness chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 
 from .algebra import (
     FULL,
@@ -20,13 +23,16 @@ from .algebra import (
     _constraint_kernel,
     _emit,
     _first_violation,
+    _forbidden,
+    _frame_entries,
     _moved_vector,
     _require_member,
+    _vanishes,
     _violation,
     alg_basis,
     in_alg,
 )
-from .matrices import Matrix, echelon, integer_kernel, integer_product, sparse_product
+from .matrices import Matrix, _primitive, echelon, integer_kernel, integer_product, sparse_product
 from .nests import Nest, ordinal_sum
 from .subspaces import separating_functional
 
@@ -35,12 +41,6 @@ def strict_ideal_basis(nest: Nest) -> AlgebraBasis:
     """Canonical basis of {T : T maps each member into its predecessor}, the
     echelon of its generators S E_rc S^-1 (`_constraint_kernel`)."""
     return _constraint_kernel(nest, STRICT)
-
-
-def _entries(ints, n: int):
-    """(k, i, j, x) for each nonzero entry x = b_k[i][j] of the n x n
-    operators b_k whose row-major int rows are ints."""
-    return ((k, *divmod(q, n), x) for k, v in enumerate(ints) for q, x in enumerate(v) if x)
 
 
 def in_strict_ideal_witness(nest: Nest, t: Matrix):
@@ -68,27 +68,35 @@ def nilpotency_index(nest: Nest, t: Matrix):
 
 
 def ideal_nilpotency_index(ideal: AlgebraBasis) -> int:
-    """Least k such that every product of k operators of the span J of
-    `ideal.basis` is zero; for the strictly-shifting ideal, the number of atoms.
-
-    V_0 = F^n and V_k = span{b v : b in basis, v in V_(k-1)} = J^k F^n, as
-    J^k F^n = J (J^(k-1) F^n); the index is the least k with V_k = 0.
-    V_k is inside V_(k-1) for every k: V_1 is inside V_0 = F^n, and J. is
-    monotone.  So dim V_k = dim V_(k-1) != 0 means V_k = V_(k-1), and that,
-    or V_n != 0, proves J not nilpotent; an AssertionError names the basis.
-    Each step's images are one integer product of V_(k-1)'s reduced int rows
-    with the transposed stacked basis operators, as the basis' `scaled`
-    ints as (column, int) pairs built once, read off n entries at a time: a
-    scaled image spans what the image does.  They are reduced by `echelon`,
-    and no Fraction is built.
+    """Least k with every product of k operators of the span J of
+    `ideal.basis` zero; for the strict ideal, the number m of atoms.  If J
+    strictly shifts the chain (`_vanishes`), J^m = 0, and a witness chain
+    shows J^(m-1) != 0: from the last frame column, outside member m - 1,
+    step s keeps an image b x (b in the basis), made primitive, outside
+    member m - 1 - s.  Else the range loop V_0 = F^n, V_k = J V_(k-1)
+    decides: V_k lies in V_(k-1), so a step that keeps the rank, or V_n != 0,
+    proves J not nilpotent (an AssertionError).  Images are `sparse_product`s
+    with the transposed stacked `scaled` ints; the loop `echelon`s them.
     """
-    f, n = ideal.nest.field, ideal.nest.ambient_dim
-    ints = ideal.scaled[0]
+    nest, ints = ideal.nest, ideal.scaled[0]
+    f, n, m = nest.field, nest.ambient_dim, len(nest.atoms)
     width = len(ints) * n
     # the transposed stacked basis, row j as the (k n + i, b_k[i][j]) pairs
     transposes = [[] for _ in range(n)]
-    for k, i, j, x in _entries(ints, n):
-        transposes[j].append((k * n + i, x))
+    for k, v in enumerate(ints):
+        for q in compress(range(n * n), v):
+            transposes[q % n].append((k * n + q // n, v[q]))
+    if _vanishes(nest, ints, STRICT):
+        x = nest.frame[0][-1]
+        for member in reversed(nest.chain[: m - 1]):
+            [images] = sparse_product(f, [x], transposes, width)
+            # last operator first: in an RREF basis the late pivots shift least
+            chunks = (images[j : j + n] for j in reversed(range(0, width, n)))
+            x = next((_primitive(v) for v in chunks if any(v) and not member.contains_ints(v)), None)
+            if x is None:
+                break
+        else:
+            return m
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         products = sparse_product(f, rows, transposes, width)
@@ -126,32 +134,39 @@ def quasi_inverse(nest: Nest, a: Matrix, t: Matrix) -> Matrix:
 
 def radical_basis_oracle(alg: AlgebraBasis) -> AlgebraBasis:
     """Radical of the algebra whose basis is `alg`, via the trace form:
-    {T : trace(T S) = 0 for all S}.  Both products run on alg's own basis.
+    {T : trace(T S) = 0 for all S}, computed on alg's own basis.
 
     The radical lies in this trace-form kernel T in every characteristic (for
     x in the radical every x S is nilpotent, so its trace is 0), and the
     nilpotent ideal J lies in the radical.  On a nest algebra the trace form
     is nondegenerate on the diagonal blocks M_d(F) in every characteristic
     (tr(E_ij E_ji) = 1), so T = J, which proves rad = J over any field.
+
+    On the frame (`_frame_entries`), a basis inside the algebra (else a
+    ValueError) has Gram matrix Y M Y^T up to a scalar: Y (d x q) holds the
+    q = sum a_k^2 diagonal-block entries, M is the transpose within blocks,
+    weighted, invertible.  If rank Y = q, which the d - q rows of
+    `integer_kernel(Y^T)` show (else a ValueError), both kernels agree.
     """
     if alg.kind != FULL:
         raise ValueError("the trace-form radical needs the algebra basis")
-    f, n = alg.nest.field, alg.nest.ambient_dim
-    # The basis as ints times one common scale c (`AlgebraBasis.scaled`), so
-    # the Gram matrix is c^2 tr(a_i a_j), with the same kernel.
-    # trace(A B) = sum of A_ij B_ji: position (i, j) of a row is paired with
-    # the (l, entry (j, i) of basis operator l) of every nonzero such entry.
-    stacked = alg.scaled[0]
-    by_transpose = [[] for _ in range(n * n)]
-    for k, i, j, x in _entries(stacked, n):
-        by_transpose[j * n + i].append((k, x))
-    gram = sparse_product(f, stacked, by_transpose, alg.dim)
+    nest, stacked = alg.nest, alg.scaled[0]  # ints over one common scale
+    f, n = nest.field, nest.ambient_dim
+    # the entries STRICT forbids: those FULL forbids, and the diagonal blocks
+    y_t = []
+    for row_block, col_block, row in _frame_entries(nest, stacked, partial(_forbidden, STRICT)):
+        if row_block == col_block:
+            y_t.append(row)
+        elif any(row):
+            raise ValueError("the trace-form radical needs a basis inside the algebra")
+    kernel = integer_kernel(f, y_t, alg.dim)
+    if len(kernel) != alg.dim - len(y_t):
+        raise ValueError("the trace-form radical needs a basis spanning the diagonal blocks")
     # The kernel coordinates times the stacked basis span the radical; one
     # `echelon` puts them in RREF, up to a multiple per row, which `_emit`
     # divides out, whatever the order or form of alg's basis.
-    rows = integer_product(f, integer_kernel(f, gram, alg.dim), stacked, n * n)
-    rows, _ = echelon(f, rows, n * n)
-    return _emit(alg.nest, RADICAL, rows)
+    rows, _ = echelon(f, integer_product(f, kernel, stacked, n * n), n * n)
+    return _emit(nest, RADICAL, rows)
 
 
 def radical_exclusion_witness(nest: Nest, t: Matrix) -> tuple:

@@ -156,10 +156,12 @@ def span_of(vectors, field: Field, ambient_dim: int) -> Subspace:
     return _from_int_rows(field, ambient_dim, *echelon(field, rows, ambient_dim))
 
 
+@lru_cache(maxsize=None)  # one {0} and one F^n per (field, n), shared by every nest
 def zero_subspace(field: Field, ambient_dim: int) -> Subspace:
     return Subspace(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
 
 
+@lru_cache(maxsize=None)
 def full(field: Field, ambient_dim: int) -> Subspace:
     return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim))
 

@@ -20,8 +20,7 @@ from .algebra import (
     FULL,
     STRICT,
     MembershipError,
-    _conjugates,
-    _first_violation,
+    _vanishes,
     alg_basis,
     all_rank_ones_in_alg,
     idempotent_onto,
@@ -174,25 +173,20 @@ def check_alg_basis(ck: _Check, nest, alg, strict, ce) -> None:
     """The bases of the algebra and of its strictly-shifting ideal
     (`alg_basis`, `strict_ideal_basis`), decided in the chain-adapted frame
     S of `Nest.frame`.  Each dimension verdict needs as many independent
-    rows (`_independent`) as the formula gives.  Both membership verdicts
-    come from the one batched conjugation `_conjugates` and the forbidden
-    entries of `_first_violation`, which also decide `in_alg` and
-    `in_strict_ideal`.  Closure follows from two of these facts, with no
-    product: when `algebra-dimension` and `basis-members-in-algebra` hold,
-    alg.basis is a basis of the algebra, which is closed (in the frame it
-    is the span of the matrix units E_rc with block[r] <= block[c], and
-    E_rc E_cd = E_rd).  Only when one of them fails does the scan
-    `_closure_escape` decide closure and name the escaping pair."""
+    rows (`_independent`) as the formula gives; both membership verdicts
+    are one `_vanishes` each.  Closure follows, with no product, when
+    `algebra-dimension` and `basis-members-in-algebra` hold: alg.basis is
+    then a basis of the algebra, which is closed (in the frame it is the
+    span of the E_rc with block[r] <= block[c], and E_rc E_cd = E_rd).
+    Else the scan `_closure_escape` decides it and names the escaping pair."""
     atoms = nest.atoms
     alg_dim_ok = alg.dim == _strict_dim(atoms) + sum(a * a for a in atoms) and _independent(alg)
     ck.record("algebra-dimension", alg_dim_ok, ce)
     strict_dim_ok = strict.dim == _strict_dim(atoms) and _independent(strict)
     ck.record("strict-ideal-dimension", strict_dim_ok, ce)
-    conjugates = _conjugates(nest, [*alg.scaled[0], *strict.scaled[0]])
-    alg_conj, strict_conj = conjugates[: alg.dim], conjugates[alg.dim :]
-    members_ok = _first_violation(nest, FULL, alg_conj) is None
+    members_ok = _vanishes(nest, alg.scaled[0], FULL)
     ck.record("basis-members-in-algebra", members_ok, ce)
-    ck.record("strict-members-shift", _first_violation(nest, STRICT, strict_conj) is None, ce)
+    ck.record("strict-members-shift", _vanishes(nest, strict.scaled[0], STRICT), ce)
     escape = None if alg_dim_ok and members_ok else _closure_escape(alg)
     ck.record("closed-under-product", escape is None, {"nest": ce, "product": escape})
 

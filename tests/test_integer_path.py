@@ -14,7 +14,7 @@ from math import lcm
 
 import pytest
 
-from nestalg import verify
+from nestalg import algebra, matrices, radical, subspaces, verify
 from nestalg.algebra import (
     FULL,
     STRICT,
@@ -23,8 +23,10 @@ from nestalg.algebra import (
     _constraint_kernel,
     _forbidden,
     alg_basis,
+    in_alg,
     in_alg_witness,
     idempotent_onto,
+    matrix_span_basis,
     rank_decompose,
     rank_one,
     rank_one_in_alg,
@@ -46,6 +48,7 @@ from nestalg.matrices import (
 from nestalg.nests import flag_nest, new_nest, trivial_nest
 from nestalg.radical import (
     ideal_nilpotency_index,
+    in_strict_ideal,
     in_strict_ideal_witness,
     ordsum_analyze,
     quasi_inverse,
@@ -198,6 +201,91 @@ def test_radical_oracle_matches_fraction_reference():
         rad = radical_basis_oracle(alg)
         assert tuple(t.vectorize() for t in rad.basis) == oracle_reference(alg)
         assert rad.basis == strict_ideal_basis(nest).basis
+
+
+def _oracle_corpus(seed):
+    """Nests of two or more atoms: fractional over Q, random over GF(2) and GF(3)."""
+    rng, nests = sample_nests(seed)
+    nests += [flag_nest(field, 3) for field in (QQ, GF2, GF3)]
+    return rng, [nest for nest in nests if len(nest.atoms) > 1]
+
+
+def test_trace_form_oracle_rejects_an_operator_outside_the_algebra():
+    rng, nests = _oracle_corpus(75)
+    for nest in nests:
+        n, basis = nest.ambient_dim, alg_basis(nest).basis
+        t = random_matrix(nest.field, n, n, rng)
+        while in_alg(nest, t):
+            t = random_matrix(nest.field, n, n, rng)
+        for k in (0, len(basis) - 1):
+            hand = AlgebraBasis(nest, FULL, basis[:k] + (t,) + basis[k + 1 :])
+            with pytest.raises(ValueError, match="inside the algebra"):
+                radical_basis_oracle(hand)
+
+
+def test_trace_form_oracle_never_returns_a_wrong_radical_for_a_dropped_row():
+    # Dropping a row leaves a span that, with J, either still gives the whole
+    # algebra, and then its trace-form kernel is its meet with J, or misses a
+    # diagonal-block direction, and then the oracle refuses it.
+    _, nests = _oracle_corpus(76)
+    refused = 0
+    for nest in nests:
+        f, n = nest.field, nest.ambient_dim
+        basis, strict = alg_basis(nest).basis, strict_ideal_basis(nest).basis
+        for k in range(len(basis)):
+            hand = AlgebraBasis(nest, FULL, basis[:k] + basis[k + 1 :])
+            if len(matrix_span_basis(hand.basis + strict, f, (n, n))) < len(basis):
+                with pytest.raises(ValueError, match="diagonal blocks"):
+                    radical_basis_oracle(hand)
+                refused += 1
+                continue
+            rad = radical_basis_oracle(hand).basis
+            want = [Matrix._of(f, tuple(tuple(row[i : i + n]) for i in range(0, n * n, n)), n)
+                    for row in oracle_reference(hand)]
+            assert rad == matrix_span_basis(want, f, (n, n))
+            assert all(in_strict_ideal(nest, t) for t in rad)
+    assert refused > 0
+
+
+def _count_echelons(monkeypatch):
+    calls = []
+    real = matrices.echelon
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (matrices, algebra, radical, subspaces):
+        monkeypatch.setattr(module, "echelon", counted)
+    return calls
+
+
+def test_nilpotency_index_is_certified_on_the_frame(monkeypatch):
+    # J^m = 0 from the shift check and J^(m-1) != 0 from a witness chain, with
+    # no elimination, on fractional frames over Q and on GF(2), GF(3), GF(5)
+    rng = random.Random(77)
+    nests = [fractional_nest(rng, n) for n in (2, 3, 4, 5, 6, 6)]
+    nests += [random_nest(field, rng.randint(1, 6), rng) for field in (GF2, GF3, GF(5)) for _ in range(6)]
+    nests += [flag_nest(field, 6) for field in (QQ, GF2)]
+    stricts = [strict_ideal_basis(nest) for nest in nests]
+    calls = _count_echelons(monkeypatch)
+    for nest, strict in zip(nests, stricts):
+        assert ideal_nilpotency_index(strict) == len(nest.atoms)
+    assert calls == []
+
+
+def test_nilpotency_index_of_a_span_too_small_for_a_witness_takes_the_loop(monkeypatch):
+    # one strict operator of a 3-flag shifts the chain, but no product of two
+    # of its operators leaves the last column nonzero: the range loop decides
+    for field in (QQ, GF2, GF3):
+        nest = flag_nest(field, 3)
+        for t in strict_ideal_basis(nest).basis:
+            ideal = AlgebraBasis(nest, STRICT, (t,))
+            want = index_reference(ideal)
+            calls = _count_echelons(monkeypatch)
+            assert ideal_nilpotency_index(ideal) == want == 2
+            assert calls
+            monkeypatch.undo()
 
 
 def test_report_and_draws_build_no_algebra_operators():

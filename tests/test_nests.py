@@ -40,6 +40,19 @@ def test_new_nest_dedupes():
     assert [s.dim for s in nest.chain] == [0, 1, 3]
 
 
+def test_new_nest_shares_its_bounds():
+    # one {0} and one F^n per (field, n), whatever the members, also when a
+    # member equals one of them, and the same ones iter_nests uses
+    m = span_of([E1], QQ, 3)
+    nests = [new_nest(QQ, 3, []), new_nest(QQ, 3, [m]), new_nest(QQ, 3, [full(QQ, 3), m])]
+    assert all(nest.chain[-1] is nests[0].chain[-1] for nest in nests)
+    assert all(nest.chain[0] is nests[0].chain[0] for nest in nests)
+    assert nests[0].chain[-1] == full(QQ, 3) and nests[0].chain[0] == zero_subspace(QQ, 3)
+    first = next(iter_nests(GF2, 2))
+    assert first.chain[-1] is trivial_nest(GF2, 2).chain[-1]
+    assert new_nest(QQ, 2, []).chain[-1] is not nests[0].chain[-1]
+
+
 def test_new_nest_rejects_incomparable():
     a = span_of([E1], QQ, 3)
     b = span_of([E2], QQ, 3)
