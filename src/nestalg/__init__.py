@@ -22,7 +22,7 @@ from .algebra import (
     transporter,
 )
 from .fields import GF, GF2, GF3, QQ, Field
-from .matrices import Matrix, RrefResult, dot, kernel_basis, outer, rref, solve, try_invert
+from .matrices import Matrix, RrefResult, Vector, dot, kernel_basis, outer, rref, solve, try_invert
 from .nests import (
     IncomparableError,
     Nest,

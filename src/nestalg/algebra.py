@@ -13,16 +13,17 @@ from .fields import Field
 from .matrices import (
     Matrix,
     Vector,
-    coerce_vector,
+    _residues,
     common_integer_rows,
     dots,
     echelon,
+    int_row,
     integer_kernel,
     integer_product,
     integer_vectorize,
-    is_zero_vector,
     leads,
     outer,
+    solve,
 )
 from .nests import Nest
 from .subspaces import (
@@ -116,11 +117,11 @@ class MembershipError(ValueError):
     """An operator fails a membership precondition; carries the chain member
     whose basis vector it moves out of bounds, that vector and the field."""
 
-    def __init__(self, kind: str, member: Subspace, vector: Vector):
+    def __init__(self, kind: str, member: Subspace, vector):
         self.member = member
         self.vector = vector
         self.field = member.field
-        moved = ", ".join(map(str, vector))
+        moved = ", ".join(map(str, Vector(member.field, vector).to_nested()[0]))
         space = "algebra" if kind == FULL else "strict ideal"
         super().__init__(
             f"operator is not in the {space}: it moves the basis vector "
@@ -254,7 +255,7 @@ def _moved_vector(nest: Nest, t: Matrix, kind: str, k: int) -> Vector:
     target = source if kind == FULL else nest.chain[k]
     ts = common_integer_rows(t)[0]
     i = next(i for i, v in enumerate(source.int_rows) if not target.contains_ints(dots(ts, v)))
-    return source.basis.entries[i]
+    return source.basis.row(i)
 
 
 def in_alg_witness(nest: Nest, t: Matrix):
@@ -283,7 +284,7 @@ def _check_operator(nest: Nest, t: Matrix) -> None:
 
 @dataclass(frozen=True)
 class RankOneOp:
-    """The operator v -> phi(v) x for nonzero x and phi.
+    """The operator v -> phi(v) x for nonzero x and phi (x a `Vector` from `rank_one`).
 
     Slotted by its own __slots__ rather than slots=True, which replaces the
     class: the frozen __setattr__ then refers to the replaced class and
@@ -297,25 +298,33 @@ class RankOneOp:
 
     @property
     def is_idempotent(self) -> bool:
-        return self.phi(self.x) == self.matrix.field.one()
+        """phi(x) = 1, read on the ints of phi(x)."""
+        return self.phi.coeffs.apply(self.x) == Vector(self.phi.field, (1,))
 
 
 def rank_one(x, phi: Functional) -> RankOneOp:
     f = phi.field
-    x = coerce_vector(f, x)
+    x = Vector(f, x)
     if len(x) != phi.ambient_dim:
         raise ValueError("vector and functional sizes differ")
-    if is_zero_vector(x) or phi.is_zero():
+    if x.is_zero() or phi.is_zero():
         raise ValueError("rank-one factors must be nonzero")
     return RankOneOp(x, phi, outer(f, x, phi.coeffs))
 
 
 def rank_one_in_alg(nest: Nest, r: RankOneOp) -> bool:
     """Membership test for a rank-one operator: `in_alg` of its matrix,
-    which holds iff phi kills the predecessor of x's principal member."""
-    if r.matrix.field != nest.field or r.phi.ambient_dim != nest.ambient_dim:
+    which holds iff phi kills the predecessor of x's principal member: its
+    S^-1 (x (x) phi) S = (S^-1 x) (x) (phi S) vanishes where block[r] >
+    block[c] iff no nonzero (S^-1 x)_r lies in a later block than a nonzero
+    (phi S)_c."""
+    f = nest.field
+    if r.matrix.field != f or r.phi.ambient_dim != nest.ambient_dim:
         raise ValueError("rank-one operator does not match the nest")
-    return in_alg(nest, r.matrix)
+    columns, inv_rows, block = nest.frame
+    u, v = _residues(f, [dots(inv_rows, int_row(f, r.x)[0]), dots(columns, r.phi.coeffs.ints[0])])
+    last = max(itertools.compress(block, u), default=0)
+    return last <= min(itertools.compress(block, v), default=len(block))
 
 
 def transporter(nest: Nest, x, y) -> RankOneOp:
@@ -325,15 +334,12 @@ def transporter(nest: Nest, x, y) -> RankOneOp:
     R = y (x) phi with phi(x) = 1 and phi vanishing on the predecessor of
     y's principal member.
     """
-    f = nest.field
-    x = coerce_vector(f, x)
-    y = coerce_vector(f, y)
-    if is_zero_vector(x) or is_zero_vector(y):
+    x, y = Vector(nest.field, x), Vector(nest.field, y)
+    if x.is_zero() or y.is_zero():
         raise ValueError("transporter needs nonzero vectors")
     if not nest.principal(x).contains(y):
         raise ValueError("y lies outside the principal member of x")
-    phi = separating_functional(x, nest.principal_pred(y))
-    return rank_one(y, phi)
+    return rank_one(y, separating_functional(x, nest.principal_pred(y)))
 
 
 def idempotent_onto(nest: Nest, m: Subspace) -> tuple[Matrix, list[RankOneOp]]:
@@ -342,23 +348,31 @@ def idempotent_onto(nest: Nest, m: Subspace) -> tuple[Matrix, list[RankOneOp]]:
     The RREF basis rows y_k of m are taken from the last to the first.  P,
     so far an idempotent onto the span `rest` of the rows after y_k, gains
     the rank-one (y_k - P y_k) (x) phi where phi kills both the principal
-    predecessor and rest.  The parts multiply to zero pairwise and sum to P.
+    predecessor and rest (`solve` on their rows, stacked).  The parts
+    multiply to zero pairwise and sum to P, kept as int rows over one scale
+    s: for y_k = Y / L, x = (s Y - P Y) / (s L).
     """
     if m.field != nest.field or m.ambient_dim != nest.ambient_dim:
         raise ValueError("subspace does not match the nest")
     if m.dim == 0:
         raise ValueError("no idempotent with zero range")
-    f, n = nest.field, nest.ambient_dim
-    rows = m.basis.entries
-    p = Matrix.zeros(f, n, n)
+    f, n, rest = nest.field, nest.ambient_dim, m.basis
+    ps, s = [[0] * n] * n, 1  # P = ps / s
     parts = []
     for k in reversed(range(m.dim)):
-        rest = _from_int_rows(f, n, m.int_rows[k + 1 :], m.pivots[k + 1 :])
-        x = tuple(f.sub(a, b) for a, b in zip(rows[k], p.apply(rows[k])))
-        part = rank_one(x, separating_functional(x, nest.principal_pred(x).join(rest)))
-        p = p + part.matrix
-        parts.append(part)
-    return p, parts
+        y = rest.ints[k]
+        x = Vector._ints(f, _residues(f, [[s * a - b for a, b in zip(y, dots(ps, y))]]), [s * rest.dens[k]], n)
+        pred = nest.principal_pred(x).basis
+        ints, dens = pred.ints + rest.ints[k + 1 :] + x.ints, pred.dens + rest.dens[k + 1 :] + x.dens
+        phi = solve(Matrix._wrap(f, ints, dens, n), (0,) * (len(ints) - 1) + (1,))
+        parts.append(rank_one(x, Functional(f, n, phi)))
+        # P + x (x) phi over the lcm t of s and ab
+        (xs,), (fs,), ab = x.ints, phi.ints, x.dens[0] * phi.dens[0]
+        t = lcm(s, ab)
+        ps = _residues(f, [[a * (t // s) + xi * b * (t // ab) for a, b in zip(row, fs)]
+                           for row, xi in zip(ps, xs)])
+        s = t
+    return Matrix._ints(f, ps, [s] * n, n), parts
 
 
 def range_of(t: Matrix) -> Subspace:
@@ -422,12 +436,13 @@ def _rank_one_table(p: int, n: int) -> dict:
     GF(p)^n, both in product order.  Built once per (p, n) and shared:
     every part of a RankOneOp is immutable."""
     f, ones = Field(p), (1,) * n
-    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    factors = {phi: (Functional(f, n, phi), [tuple([c * a % p for a in phi]) for c in range(p)])
-               for phi in vectors}
-    return {x: {phi: RankOneOp(x, functional, Matrix._wrap(f, tuple([rows[c] for c in x]), ones, n))
+    vectors = {v: Vector._wrap(f, (v,), (1,), n)
+               for v in itertools.product(range(p), repeat=n) if any(v)}
+    factors = {phi: (Functional(f, n, vector), [tuple([c * a % p for a in phi]) for c in range(p)])
+               for phi, vector in vectors.items()}
+    return {x: {phi: RankOneOp(v, functional, Matrix._wrap(f, tuple([rows[c] for c in x]), ones, n))
                 for phi, (functional, rows) in factors.items()}
-            for x in vectors}
+            for x, v in vectors.items()}
 
 
 def all_rank_ones_in_alg(nest: Nest) -> list[RankOneOp]:
@@ -468,8 +483,9 @@ def reflexivity_witness(nest: Nest, m: Subspace) -> tuple[RankOneOp, Vector]:
         raise ValueError("m is a member of the nest")
     if m.dim == 0:
         raise ValueError("the zero subspace admits no witness")
-    for x in m.basis.entries:
-        for y in nest.principal(x).basis.entries:
+    for x in map(m.basis.row, range(m.dim)):
+        member = nest.principal(x).basis
+        for y in map(member.row, range(member.rows)):
             if not m.contains(y):
                 return transporter(nest, x, y), x
     raise AssertionError("unreachable: every basis row of m has its principal member in m")

@@ -10,8 +10,6 @@ from math import gcd, lcm
 
 from .fields import QQ, Field, Scalar
 
-Vector = tuple  # row of Scalars; kept as plain tuples throughout
-
 _ZERO = QQ.zero()
 
 
@@ -40,7 +38,8 @@ class Matrix:
         # Reached only for an unset slot: over QQ the Fraction view `entries`.
         if name != "entries":
             raise AttributeError(name)
-        entries = tuple([_fractions(row, den) for row, den in zip(self.ints, self.dens)])
+        entries = tuple([tuple([Fraction(x, den) if x else _ZERO for x in row])
+                         for row, den in zip(self.ints, self.dens)])
         _set_entries(self, entries)
         return entries
 
@@ -92,7 +91,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Matrix({self.field!r}, {self.rows}x{self.cols}: {body})"
+        return f"{type(self).__name__}({self.field!r}, {self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: Matrix) -> Matrix:
         """Row by row over the lcm of the two rows' denominators."""
@@ -102,7 +101,7 @@ class Matrix:
             den = da if da == db else lcm(da, db)
             rows.append([a * (den // da) + b * (den // db) for a, b in zip(ra, rb)])
             dens.append(den)
-        return Matrix._ints(self.field, _residues(self.field, rows), dens, self.cols)
+        return type(self)._ints(self.field, _residues(self.field, rows), dens, self.cols)
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
@@ -122,19 +121,21 @@ class Matrix:
     def scale(self, c) -> Matrix:
         n, d = self.field.ratio(c)
         rows = _residues(self.field, [[n * a for a in row] for row in self.ints])
-        return Matrix._ints(self.field, rows, [d * den for den in self.dens], self.cols)
+        return type(self)._ints(self.field, rows, [d * den for den in self.dens], self.cols)
 
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product as field elements: the `dots` of the rows
-        with `int_row(v)`, row i over dens[i] times v's denominator."""
+    def apply(self, v) -> Vector:
+        """Matrix-vector product as a `Vector`: the `dots` of the rows with
+        `int_row(v)`, over the lcm of the dens times v's denominator."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
+        f, dens = self.field, self.dens
         vi, vd = int_row(f, v)
-        image = dots(self.ints, vi)
-        if f.p is not None:
-            return tuple([x % f.p for x in image])
-        return tuple([Fraction(x, d * vd) if x else _ZERO for x, d in zip(image, self.dens)])
+        scale = lcm(*dens)
+        image = [x * (scale // d) for x, d in zip(dots(self.ints, vi), dens)]
+        return Vector._ints(f, _residues(f, [image]), [scale * vd], self.rows)
+
+    def row(self, i: int) -> Vector:
+        return Vector._wrap(self.field, (self.ints[i],), (self.dens[i],), self.cols)
 
     def transpose(self) -> Matrix:
         """`common_integer_rows` transposed, each row over their scale."""
@@ -150,10 +151,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
 
-    def column(self, j: int) -> Vector:
+    def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 
-    def vectorize(self) -> Vector:
+    def vectorize(self) -> tuple:
         """Row-major flattening, used to treat operators as plain vectors."""
         return tuple(chain.from_iterable(self.entries))
 
@@ -184,6 +185,30 @@ _set_field, _set_rows, _set_cols, _set_ints, _set_dens, _set_entries = (
 _new = object.__new__
 
 
+class Vector(Matrix):
+    """A vector as a one-row Matrix, read from scalars (`int_row`); +, - and
+    `scale` keep it one.  It reads as its row of scalars, built on first
+    read as `entries` is: it indexes (so iterates) and hashes as that tuple
+    and equals it; two Vectors compare stored rows."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: Field, values):
+        return Matrix.__new__(cls, field, [values])
+
+    def __eq__(self, other: object) -> bool:
+        return Matrix.__eq__(self, other) if isinstance(other, Vector) else self.entries[0] == other
+
+    def __hash__(self) -> int:
+        return hash(self.entries[0])
+
+    def __len__(self) -> int:
+        return self.cols
+
+    def __getitem__(self, j):
+        return self.entries[0][j]
+
+
 def _lowest(row, den: int) -> tuple[tuple, int]:
     """The int row over the positive den in lowest terms (a zero row over 1)."""
     g = gcd(den, *row)
@@ -204,16 +229,13 @@ def _ratio_text(x: int, den: int) -> str:
     return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
-def _fractions(row, den: int) -> tuple:
-    """The int row over the positive den as Fractions: `Matrix.entries`."""
-    return tuple([Fraction(x, den) if x else _ZERO for x in row])
-
-
 def int_row(field: Field, values) -> tuple[tuple, int]:
     """(ints, den) with values[j] = ints[j] / den in lowest terms, den > 0,
-    for scalars (`Field.ratio`); over GF(p) the residues and 1.  The one
-    reading of a row of scalars: the Matrix constructor, the decoder and
-    every vector argument go through it."""
+    for scalars (`Field.ratio`) or a `Vector`; over GF(p) the residues and
+    1.  The one reading of a row of scalars: the Matrix constructor, the
+    decoder and every vector argument go through it."""
+    if type(values) is Vector and values.field == field:
+        return values.ints[0], values.dens[0]
     ratio, p = field.ratio, field.p
     if p is not None:
         return tuple([x % p if type(x) is int else ratio(x)[0] for x in values]), 1
@@ -417,10 +439,10 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix._ints(f, rows, leads(rows), m.cols)
 
 
-def solve(m: Matrix, b: Vector):
-    """One solution of m x = b with free variables set to zero, or None:
-    `echelon` of the int rows of [m | b], where x at each pivot is the
-    last entry of its row over the pivot."""
+def solve(m: Matrix, b) -> Vector | None:
+    """One solution of m x = b with free variables set to zero, a `Vector`,
+    or None: `echelon` of the int rows of [m | b], where x at each pivot is
+    the last entry of its row over the pivot, all over their lcm."""
     f, n = m.field, m.cols
     if len(b) != m.rows:
         raise ValueError("rhs length mismatch")
@@ -430,12 +452,11 @@ def solve(m: Matrix, b: Vector):
     rows, pivots = echelon(f, aug, n + 1)
     if n in pivots:
         return None
-    x = [f.zero()] * n
+    scale = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
+    x = [0] * n
     for row, pc in zip(rows, pivots):
-        if row[n]:
-            # over GF(p) echelon leaves every pivot at 1 already
-            x[pc] = Fraction(row[n], row[pc]) if f.p is None else row[n]
-    return tuple(x)
+        x[pc] = row[n] * (scale // row[pc])
+    return Vector._ints(f, [x], [scale], n)
 
 
 def try_invert(m: Matrix):
@@ -461,25 +482,16 @@ def integer_inverse(field: Field, rows):
     return red if pivots == list(range(len(rows))) else None
 
 
-def dot(field: Field, u: Vector, v: Vector) -> Scalar:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    acc = field.zero()
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+def dot(field: Field, u, v) -> Scalar:
+    """The scalar u . v (`Matrix.apply`)."""
+    return Vector(field, u).apply(v)[0]
 
 
-def coerce_vector(field: Field, values) -> Vector:
-    return tuple(field.coerce(x) for x in values)
-
-
-def is_zero_vector(v: Vector) -> bool:
+def is_zero_vector(v) -> bool:
     return not any(v)
 
 
-def outer(field: Field, x: Vector, phi: Vector) -> Matrix:
+def outer(field: Field, x, phi) -> Matrix:
     """The operator v -> phi(v) x, as the matrix with entries x[i]*phi[j]:
     for x = X / a and phi = F / b (`int_row`), row i is X[i] F over a b."""
     xs, a = int_row(field, x)

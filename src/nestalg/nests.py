@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field
-from .matrices import Matrix, Vector, int_row, integer_inverse
+from .matrices import Matrix, int_row, integer_inverse
 from .subspaces import Subspace, enumerate_subspaces, full, span_of, zero_subspace
 
 
@@ -47,7 +47,7 @@ class Nest:
         member k is spanned by the columns with block < k.  The scalings
         turn S^-1 T S into D_r (S^-1 T S) D_c for nonzero diagonal D_r and
         D_c, which keeps its zero pattern."""
-        columns: list[Vector] = []
+        columns: list[tuple] = []
         block: list[int] = []
         for k, (pred, member) in enumerate(zip(self.chain, self.chain[1:])):
             fresh = [v for v, pc in zip(member.int_rows, member.pivots) if pc not in pred.pivots]

@@ -15,10 +15,8 @@ from .subspaces import Subspace, span_of
 
 
 def random_scalar(field: Field, rng: random.Random):
-    """Uniform in GF(p), or an integer in [-3, 3] over Q."""
-    if field.is_rationals:
-        return field.coerce(rng.randint(-3, 3))
-    return rng.randrange(field.p)
+    """Uniform in GF(p), or an integer in [-3, 3] over Q, as an int."""
+    return rng.randint(-3, 3) if field.p is None else rng.randrange(field.p)
 
 
 def random_vector(field: Field, n: int, rng: random.Random, nonzero: bool = False) -> tuple:
@@ -74,7 +72,7 @@ def random_span_element(basis: AlgebraBasis, rng: random.Random, nonzero: bool =
     f, n = basis.nest.field, basis.nest.ambient_dim
     ints, scale = basis.scaled
     while True:
-        coeffs = [int(random_scalar(f, rng)) for _ in ints]
+        coeffs = [random_scalar(f, rng) for _ in ints]
         [row] = integer_product(f, [coeffs], ints, n * n)
         [t] = _operators(f, [row], [scale], (n, n))
         if not nonzero or not t.is_zero():

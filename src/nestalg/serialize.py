@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebra import AlgebraBasis, RankOneOp
 from .c00 import SupportNest, TailFunctional, ZigzagReport
 from .fields import QQ, Field
-from .matrices import Matrix, _fractions, int_row
+from .matrices import Matrix, Vector, int_row
 from .nests import Nest, new_nest
 from .radical import OrdinalSumReport, RadicalReport
 from .subspaces import Subspace, span_of
@@ -51,9 +51,9 @@ def scalar_from_json(field: Field, obj, path: str):
         raise SpecError(path, str(exc)) from None
 
 
-def vector_from_json(field: Field, obj, length: int, path: str) -> tuple:
+def vector_from_json(field: Field, obj, length: int, path: str) -> Vector:
     ints, den = row_from_json(field, obj, length, path)
-    return ints if field.p is not None else _fractions(ints, den)
+    return Vector._wrap(field, (ints,), (den,), length)
 
 
 def row_from_json(field: Field, obj, length: int, path: str) -> tuple[tuple, int]:
@@ -77,7 +77,8 @@ def rows_from_json(field: Field, rows: list, length: int, path: str) -> list:
 
 
 def vector_to_json(field: Field, v) -> list:
-    return [field.format_scalar(x) for x in v]
+    """The JSON row of a vector (`Matrix.to_nested` of its `Vector`)."""
+    return Vector(field, v).to_nested()[0]
 
 
 def matrix_from_json(field: Field, obj, path: str, rows: int | None = None, cols: int | None = None) -> Matrix:

@@ -8,19 +8,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .fields import Field, Scalar
-from .matrices import (
-    Matrix,
-    Vector,
-    _fractions,
-    coerce_vector,
-    dot,
-    echelon,
-    int_row,
-    integer_kernel,
-    is_zero_vector,
-    leads,
-    solve,
-)
+from .matrices import Matrix, Vector, echelon, int_row, integer_kernel, leads, solve
 
 
 @dataclass(frozen=True)
@@ -83,15 +71,13 @@ class Subspace:
         p = self.field.p
         return (r if p is None else [x % p for x in r]), scale
 
-    def reduce(self, v: Vector) -> Vector:
+    def reduce(self, v) -> Vector:
         """Residual of v after eliminating against the RREF basis rows: zero
-        exactly when v lies in the subspace (`_residual`, divided out)."""
-        f = self.field
-        if f.p is not None:
-            return tuple(self._residual(v)[0])
-        ints, den = int_row(f, v)
+        exactly when v lies in the subspace (`_residual`, divided out), as a
+        `Vector`."""
+        ints, den = int_row(self.field, v)
         r, scale = self._residual(ints)
-        return _fractions(r, den * scale)
+        return Vector._ints(self.field, [r], [den * scale], self.ambient_dim)
 
     @cached_property
     def elements(self) -> frozenset:
@@ -184,37 +170,41 @@ def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class Functional:
-    """A linear functional on F^ambient_dim, stored by its coefficient row."""
+    """A linear functional on F^ambient_dim, stored by its coefficient row,
+    a `Vector` (read from scalars on construction)."""
 
     field: Field
     ambient_dim: int
     coeffs: Vector
 
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", Vector(self.field, self.coeffs))
+
     def __call__(self, v) -> Scalar:
-        return dot(self.field, self.coeffs, coerce_vector(self.field, v))
+        return self.coeffs.apply(v)[0]
 
     def is_zero(self) -> bool:
-        return is_zero_vector(self.coeffs)
+        return self.coeffs.is_zero()
 
     def kernel(self) -> Subspace:
         f, n = self.field, self.ambient_dim
-        return _from_int_rows(f, n, integer_kernel(f, [int_row(f, self.coeffs)[0]], n))
+        return _from_int_rows(f, n, integer_kernel(f, self.coeffs.ints, n))
 
 
 def separating_functional(x, w: Subspace) -> Functional:
     """A functional with phi(x) = 1 vanishing on w; requires x outside w.
 
     Deterministic: the defining system is solved with free dual
-    coordinates set to zero.
+    coordinates set to zero (`solve`); it has no solution for x in w.
     """
-    f, basis = w.field, w.basis
-    if w.contains(x):
+    f, n = w.field, w.ambient_dim
+    x = Vector(f, x)
+    if len(x) != n:
+        raise ValueError("vector length mismatch")
+    phi = solve(Matrix._wrap(f, w.int_rows + x.ints, w.basis.dens + x.dens, n), (0,) * w.dim + (1,))
+    if phi is None:
         raise ValueError("x lies in w, no separating functional exists")
-    xs, den = int_row(f, x)
-    system = Matrix._wrap(f, (*basis.ints, xs), (*basis.dens, den), w.ambient_dim)
-    phi = solve(system, (0,) * w.dim + (1,))
-    assert phi is not None  # consistent because x is independent of w
-    return Functional(f, w.ambient_dim, phi)
+    return Functional(f, n, phi)
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from .algebra import (
     strict_approximant,
 )
 from .fields import GF2, QQ
-from .matrices import Matrix, common_integer_rows, echelon, int_row, integer_product, rref, try_invert
+from .matrices import Matrix, Vector, rref, try_invert
 from .nests import coordinate_nest, flag_nest, iter_compositions, iter_nests, ordinal_sum
 from .radical import (
     nilpotency_index,
@@ -249,16 +249,8 @@ def check_idempotent(ck: _Check, nest, m, p, parts, ce) -> None:
     ck.record("idempotent-squares", p @ p == p, ce)
     ck.record("idempotent-range", range_of(p) == m, ce)
     ck.record("one-part-per-dimension", len(parts) == m.dim, ce)
-    ck.record(
-        "parts-annihilate-pairwise",
-        all(
-            (a.matrix @ b.matrix).is_zero()
-            for i, a in enumerate(parts)
-            for j, b in enumerate(parts)
-            if i != j
-        ),
-        ce,
-    )
+    pairs = itertools.permutations(parts, 2)
+    ck.record("parts-annihilate-pairwise", all((a.matrix @ b.matrix).is_zero() for a, b in pairs), ce)
     ck.record("parts-in-algebra", all(rank_one_in_alg(nest, r) for r in parts), ce)
 
 
@@ -355,22 +347,14 @@ def check_exclusion_witness(ck: _Check, nest, t, x, phi, ce) -> bool:
     """R = x (x) phi from `radical_exclusion_witness` lies in the algebra and
     makes 1 - R t singular by killing x.  Returns whether 1 - R t is singular.
 
-    1 - R t = 1 - x (x) psi for the row psi = phi t.  With x, phi and t as
-    ints (x = X / a, phi = F / b and t = T / c), F T is b c psi, so c' (1 -
-    R t) for c' = a b c has the int rows c' e_i - X_i (F T), and one n x n
-    `echelon` of them decides singularity."""
-    f, n = nest.field, nest.ambient_dim
-    xs, a = int_row(f, x)
-    fs, b = int_row(f, phi.coeffs)
-    ts, c = common_integer_rows(t)
-    [psi] = integer_product(f, [fs], ts, n)
-    scale = a * b * c
-    blocker = [[scale * (i == j) - xi * y for j, y in enumerate(psi)] for i, xi in enumerate(xs)]
-    singular = len(echelon(f, blocker, n)[1]) < n
-    ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, rank_one(x, phi)), ce)
+    1 - R t = 1 - x (x) psi for the row psi = phi t, so det(1 - R t) = 1 -
+    psi(x) and (1 - R t) x = (1 - psi(x)) x: for the nonzero x of `rank_one`
+    both verdicts hold exactly when phi(t x) = 1, read on the ints (`apply`)."""
+    r = rank_one(x, phi)
+    singular = phi.coeffs.apply(t.apply(r.x)) == Vector(nest.field, (1,))
+    ck.record("witness-rank-one-in-algebra", rank_one_in_alg(nest, r), ce)
     ck.record("witness-blocks-invertibility", singular, ce)
-    image = integer_product(f, blocker, [[v] for v in xs], 1)
-    ck.record("witness-kills-x", not any(v for [v] in image), ce)
+    ck.record("witness-kills-x", singular, ce)
     return singular
 
 
@@ -382,25 +366,23 @@ def dual_suite(seed: int = 0, cases: int = 100) -> list[dict]:
         nest = random_nest(QQ, 4, rng)
         check_dual(ck, nest, nest.dual(), nest_to_json(nest))
     subs = enumerate_subspaces(GF2, 3)
-    # Every operand is one of the 16 subspaces, so each distinct meet, join
-    # and annihilator is computed once by the library, then read from this
-    # table, keyed by the operands' int rows.
-    table = {}
-
+    index = {s: i for i, s in enumerate(subs)}
+    # Every operand and result is one of the 16 subspaces, so the families
+    # run on their indices: each distinct meet, join and annihilator is
+    # computed once by the library, then read from the cache of `once`.
+    @functools.cache
     def once(op, *operands):
-        key = (op, *(s.int_rows for s in operands))
-        if key not in table:
-            table[key] = getattr(operands[0], op)(*operands[1:])
-        return table[key]
+        first, *rest = [subs[i] for i in operands]
+        return index[getattr(first, op)(*rest)]
 
     # (meet, join, meet of annihilators, join of annihilators) of each
     # member and pair; a triple extends its leading pair's by one member
-    folds = {(i,): (s, s, once("annihilator", s), once("annihilator", s)) for i, s in enumerate(subs)}
+    folds = {(i,): (i, i, once("annihilator", i), once("annihilator", i)) for i in range(len(subs))}
     for fam in itertools.chain(
         itertools.combinations(range(len(subs)), 2), itertools.combinations(range(len(subs)), 3)
     ):
         meets, joins, ann_meet, ann_join = folds[fam[:-1]]
-        s = subs[fam[-1]]
+        s = fam[-1]
         ann = once("annihilator", s)
         meets, joins = once("meet", meets, s), once("join", joins, s)
         ann_meet, ann_join = once("meet", ann_meet, ann), once("join", ann_join, ann)
